@@ -447,6 +447,52 @@ let test_sarif_json_roundtrip () =
   Alcotest.(check (list string)) "baseline round-trip" (List.map snd pairs)
     (Sarif.baseline_of_string (Sarif.baseline_to_string pairs))
 
+(* Output bytes of both machine-readable formats, pinned for a fixed
+   diagnostic list whose strings need every kind of escaping. *)
+let golden_pairs =
+  Sarif.with_fingerprints
+    [
+      { Diagnostic.path = "lib/psc/a \"b\".ml"; line = 3; col = 0;
+        rule_id = "determinism/hashtbl-order"; severity = Diagnostic.Error;
+        message = "back\\slash, tab\t, newline\n, ctl \x01, caf\xc3\xa9" };
+      { Diagnostic.path = "lib/psc/a \"b\".ml"; line = 9; col = 12;
+        rule_id = "determinism/hashtbl-order"; severity = Diagnostic.Error;
+        message = "back\\slash, tab\t, newline\n, ctl \x01, caf\xc3\xa9" };
+      { Diagnostic.path = "bin/x.ml"; line = 1; col = 4; rule_id = "hygiene/failwith";
+        severity = Diagnostic.Warning; message = "plain" };
+    ]
+
+let test_sarif_golden () =
+  Alcotest.(check string) "json bytes"
+    ({|{"tool":"torlint","findings":[{"path":"lib/psc/a \"b\".ml","line":3,"col":0,|}
+     ^ {|"rule":"determinism/hashtbl-order","severity":"error","message":"back\\slash,|}
+     ^ {| tab\t, newline\n, ctl \u0001, café","fingerprint":"075c4d1756f67caf58533b55c3469d39"},|}
+     ^ {|{"path":"lib/psc/a \"b\".ml","line":9,"col":12,"rule":"determinism/hashtbl-order",|}
+     ^ {|"severity":"error","message":"back\\slash, tab\t, newline\n, ctl \u0001,|}
+     ^ {| café","fingerprint":"c9e773299623ce78383277b22e4e83ff"},{"path":"bin/x.ml",|}
+     ^ {|"line":1,"col":4,"rule":"hygiene/failwith","severity":"warning","message":"plain",|}
+     ^ {|"fingerprint":"e7b3336a5da75515c2dbf8aeb836abfc"}]}|}
+     ^ "\n")
+    (Sarif.json golden_pairs);
+  Alcotest.(check string) "sarif bytes"
+    ({|{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0",|}
+     ^ {|"runs":[{"tool":{"driver":{"name":"torlint","informationUri":"https://example.invalid/torlint",|}
+     ^ {|"rules":[{"id":"determinism","shortDescription":{"text":"doc \"quoted\""}},|}
+     ^ {|{"id":"hygiene","shortDescription":{"text":"line\nbreak"}}]}},"results":[{"ruleId":"determinism/hashtbl-order",|}
+     ^ {|"level":"error","message":{"text":"back\\slash, tab\t, newline\n, ctl \u0001,|}
+     ^ {| café"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"lib/psc/a \"b\".ml"},|}
+     ^ {|"region":{"startLine":3,"startColumn":1}}}],"partialFingerprints":{"torlint/v1":"075c4d1756f67caf58533b55c3469d39"}},|}
+     ^ {|{"ruleId":"determinism/hashtbl-order","level":"error","message":{"text":"back\\slash,|}
+     ^ {| tab\t, newline\n, ctl \u0001, café"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"lib/psc/a \"b\".ml"},|}
+     ^ {|"region":{"startLine":9,"startColumn":13}}}],"partialFingerprints":{"torlint/v1":"c9e773299623ce78383277b22e4e83ff"}},|}
+     ^ {|{"ruleId":"hygiene/failwith","level":"warning","message":{"text":"plain"},|}
+     ^ {|"locations":[{"physicalLocation":{"artifactLocation":{"uri":"bin/x.ml"},|}
+     ^ {|"region":{"startLine":1,"startColumn":5}}}],"partialFingerprints":{"torlint/v1":"e7b3336a5da75515c2dbf8aeb836abfc"}}]}]}|}
+     ^ "\n")
+    (Sarif.sarif
+       ~rules:[ ("determinism", "doc \"quoted\""); ("hygiene", "line\nbreak") ]
+       golden_pairs)
+
 let test_config_interprocedural_directives () =
   let cfg =
     match Config.of_string "worker-safe lib/custom\ndet-exempt lib/telemetry" with
@@ -540,6 +586,7 @@ let () =
       ( "output",
         [
           Alcotest.test_case "sarif json roundtrip" `Quick test_sarif_json_roundtrip;
+          Alcotest.test_case "sarif golden bytes" `Quick test_sarif_golden;
           Alcotest.test_case "config directives" `Quick test_config_interprocedural_directives;
         ] );
       ( "engine",

@@ -222,6 +222,99 @@ let test_summary_nonempty () =
       Alcotest.(check bool) "mentions span" true (is_infix ~affix:"s" s);
       Alcotest.(check bool) "mentions metric" true (is_infix ~affix:"c_total" s))
 
+(* --- golden output bytes --- *)
+
+(* Fixed inputs whose exporter output is pinned byte for byte: any
+   change to escaping, number formatting or field order shows up here. *)
+let golden_spans =
+  [
+    { Obs.Trace.id = 2; parent = Some 1; depth = 1; name = "inner \"q\"";
+      attrs = [ ("path", "a\\b"); ("ctl", "x\x01\ty\n"); ("utf8", "caf\xc3\xa9") ];
+      start_s = 0.0; duration_s = 0.0; alloc_bytes = 0.0 };
+    { Obs.Trace.id = 1; parent = None; depth = 0; name = "outer"; attrs = [];
+      start_s = 0.0; duration_s = 0.0; alloc_bytes = 0.0 };
+  ]
+
+let golden_samples =
+  [
+    { Obs.Metrics.name = "c_total{kind=\"a b\"}"; value = Obs.Metrics.Counter_sample 3.0 };
+    { Obs.Metrics.name = "g"; value = Obs.Metrics.Gauge_sample (1.0 /. 3.0) };
+    { Obs.Metrics.name = "h_seconds";
+      value =
+        Obs.Metrics.Histogram_sample
+          { bounds = [| 1.0; 2.0 |]; counts = [| 1; 0; 1 |]; sum = 0.1 +. 7.25; total = 2 } };
+    { Obs.Metrics.name = "big"; value = Obs.Metrics.Gauge_sample 1.5e300 };
+  ]
+
+let test_golden_trace_jsonl () =
+  Alcotest.(check string) "trace jsonl bytes"
+    {|{"id":2,"parent":1,"depth":1,"name":"inner \"q\"","start_s":0,"duration_s":0,"alloc_bytes":0,"attrs":{"path":"a\\b","ctl":"x\u0001\ty\n","utf8":"café"}}
+{"id":1,"parent":null,"depth":0,"name":"outer","start_s":0,"duration_s":0,"alloc_bytes":0,"attrs":{}}
+|}
+    (Obs.Export.trace_jsonl golden_spans)
+
+let test_golden_snapshot_json () =
+  Alcotest.(check string) "snapshot json bytes"
+    {|{"c_total{kind=\"a b\"}":3,"g":0.333333333,"h_seconds":{"sum":7.35,"count":2},"big":1.5e+300}|}
+    (Obs.Export.snapshot_json golden_samples)
+
+(* A fixed-seed verified PSC round followed by a PrivCount tally: the
+   canonical ledger (timings zeroed) is pinned byte for byte. *)
+let golden_ledger () =
+  with_obs (fun () ->
+      let cfg =
+        Psc.Protocol.config ~table_size:64 ~num_cps:2 ~noise_flips_per_cp:4
+          ~proof_rounds:(Some 2) ~verify:true ~dp:Dp.Mechanism.paper_params ()
+      in
+      let proto = Psc.Protocol.create cfg ~num_dcs:2 ~seed:11 in
+      for i = 0 to 9 do
+        Psc.Protocol.insert proto ~dc:(i mod 2) (Printf.sprintf "g%d" i)
+      done;
+      ignore (Psc.Protocol.run proto);
+      let dep =
+        Privcount.Deployment.create
+          (Privcount.Deployment.config
+             [ Privcount.Counter.spec ~name:"streams" ~sensitivity:1.0;
+               Privcount.Counter.spec ~name:"bytes \"in\"" ~sensitivity:2.5 ])
+          ~num_dcs:2 ~seed:11
+      in
+      Privcount.Deployment.increment dep ~dc:0 ~name:"streams" ~by:5;
+      Privcount.Deployment.increment dep ~dc:1 ~name:"bytes \"in\"" ~by:9;
+      ignore (Privcount.Deployment.tally dep);
+      Obs.Ledger.to_jsonl ~timings:false (Obs.Ledger.events ()))
+
+let golden_ledger_bytes =
+  {|{"e":"proof","kind":"psc-key","party":0,"ok":true,"batch":1}
+{"e":"proof","kind":"psc-key","party":1,"ok":true,"batch":1}
+{"e":"grant","system":"psc","epsilon":0.3,"delta":1e-11}
+{"e":"draw","system":"psc","counter":"cardinality","mechanism":"binomial","epsilon":0.3,"delta":1e-11,"cum_epsilon":0.3,"cum_delta":1e-11}
+{"e":"phase","name":"psc.combine","wall_s":0,"alloc_bytes":0}
+{"e":"proof","kind":"psc-noise-bit","party":0,"ok":true,"batch":4}
+{"e":"proof","kind":"psc-noise-bit","party":1,"ok":true,"batch":4}
+{"e":"phase","name":"psc.noise","wall_s":0,"alloc_bytes":0}
+{"e":"phase","name":"psc.shuffle","wall_s":0,"alloc_bytes":0}
+{"e":"proof","kind":"psc-shuffle","party":0,"ok":true,"batch":72}
+{"e":"phase","name":"psc.rerandomize","wall_s":0,"alloc_bytes":0}
+{"e":"phase","name":"psc.shuffle","wall_s":0,"alloc_bytes":0}
+{"e":"proof","kind":"psc-shuffle","party":1,"ok":true,"batch":72}
+{"e":"phase","name":"psc.rerandomize","wall_s":0,"alloc_bytes":0}
+{"e":"proof","kind":"psc-decrypt","party":0,"ok":true,"batch":72}
+{"e":"proof","kind":"psc-decrypt","party":1,"ok":true,"batch":72}
+{"e":"phase","name":"psc.decrypt","wall_s":0,"alloc_bytes":0}
+{"e":"phase","name":"psc.estimate","wall_s":0,"alloc_bytes":0}
+{"e":"phase","name":"psc.run","wall_s":0,"alloc_bytes":0}
+{"e":"grant","system":"privcount","epsilon":0.3,"delta":1e-11}
+{"e":"draw","system":"privcount","counter":"bytes \"in\"","mechanism":"gaussian","epsilon":0.15,"delta":5e-12,"cum_epsilon":0.15,"cum_delta":5e-12}
+{"e":"draw","system":"privcount","counter":"streams","mechanism":"gaussian","epsilon":0.15,"delta":5e-12,"cum_epsilon":0.3,"cum_delta":1e-11}
+{"e":"proof","kind":"privcount-blinding","party":0,"ok":true,"batch":6}
+{"e":"proof","kind":"privcount-blinding","party":1,"ok":true,"batch":6}
+{"e":"phase","name":"privcount.setup","wall_s":0,"alloc_bytes":0}
+{"e":"phase","name":"privcount.tally","wall_s":0,"alloc_bytes":0}
+|}
+
+let test_golden_ledger () =
+  Alcotest.(check string) "canonical ledger bytes" golden_ledger_bytes (golden_ledger ())
+
 (* --- run ledger --- *)
 
 let test_ledger_draw_accumulates () =
@@ -456,6 +549,8 @@ let () =
           Alcotest.test_case "trace jsonl" `Quick test_trace_jsonl_parseable;
           Alcotest.test_case "snapshot json" `Quick test_snapshot_json_parses_back;
           Alcotest.test_case "summary" `Quick test_summary_nonempty;
+          Alcotest.test_case "golden trace jsonl" `Quick test_golden_trace_jsonl;
+          Alcotest.test_case "golden snapshot json" `Quick test_golden_snapshot_json;
         ] );
       ( "ledger",
         [
@@ -466,6 +561,7 @@ let () =
           Alcotest.test_case "audit violations" `Quick test_audit_flags_violations;
           Alcotest.test_case "tampered run fails audit" `Quick test_tampered_psc_fails_audit;
           QCheck_alcotest.to_alcotest prop_ledger_jobs_invariant;
+          Alcotest.test_case "golden canonical ledger" `Quick test_golden_ledger;
         ] );
       ( "disabled",
         [
