@@ -479,12 +479,6 @@ let run_perf () =
       (name, !ns_per_run, kernel_snapshot name fn))
     all_kernels
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let write_bench_json results =
   let path = Printf.sprintf "BENCH_%d.json" (int_of_float (Unix.time ())) in
   let b = Buffer.create 4096 in
@@ -494,8 +488,8 @@ let write_bench_json results =
   List.iteri
     (fun i (name, ns, snapshot) ->
       Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %s, \"metrics\": %s}%s\n"
-           (json_escape name)
+        (Printf.sprintf "    {\"name\": %s, \"ns_per_run\": %s, \"metrics\": %s}%s\n"
+           (Obs.Json.quote name)
            (match ns with None -> "null" | Some ns -> Printf.sprintf "%.1f" ns)
            (Obs.Export.snapshot_json snapshot)
            (if i = List.length results - 1 then "" else ",")))

@@ -4,60 +4,33 @@
 
    Prints ns/run for every kernel present in both files with the
    speedup factor (base/new: >1 is faster), and lists kernels present
-   in only one file. Exit code is always 0 — the CI step that runs this
-   is informational, not a gate (machine-to-machine timing noise would
-   make a hard threshold flaky). *)
+   in only one file. Exit code is 0 whenever both files parse — the CI
+   step that runs this is informational, not a gate (machine-to-machine
+   timing noise would make a hard threshold flaky); an unreadable or
+   malformed file exits 1 naming it. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
 let read_file path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> text
   | exception Sys_error e -> fail "bench-diff: %s" e
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
 
-(* The bench writer puts each kernel object on one line:
-     {"name": "...", "ns_per_run": 123.4, "metrics": {...}},
-   so a line-oriented scan is enough — no JSON dependency. *)
+(* (kernel, ns/run) in file order; kernels without an estimate
+   ([ns_per_run] null) are left out. *)
 let parse_kernels path =
-  let text = read_file path in
-  let kernels = ref [] in
-  List.iter
-    (fun line ->
-      let find_after key =
-        let rec search from =
-          if from + String.length key > String.length line then None
-          else if String.sub line from (String.length key) = key then
-            Some (from + String.length key)
-          else search (from + 1)
-        in
-        search 0
-      in
-      match find_after "\"name\": \"" with
-      | None -> ()
-      | Some name_start -> (
-        match String.index_from_opt line name_start '"' with
-        | None -> ()
-        | Some name_end -> (
-          let name = String.sub line name_start (name_end - name_start) in
-          match find_after "\"ns_per_run\": " with
-          | None -> ()
-          | Some v_start ->
-            let v_end = ref v_start in
-            while
-              !v_end < String.length line
-              && (match line.[!v_end] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-            do
-              incr v_end
-            done;
-            (match float_of_string_opt (String.sub line v_start (!v_end - v_start)) with
-            | Some ns -> kernels := (name, ns) :: !kernels
-            | None -> ()))))
-    (String.split_on_char '\n' text);
-  List.rev !kernels
+  match Obs.Json.of_string (read_file path) with
+  | Error msg -> fail "bench-diff: %s: malformed JSON: %s" path msg
+  | Ok doc -> (
+    match Obs.Json.member "kernels" doc with
+    | Some (Obs.Json.Arr kernels) ->
+      List.filter_map
+        (fun k ->
+          match (Obs.Json.member "name" k, Obs.Json.member "ns_per_run" k) with
+          | Some (Obs.Json.Str name), Some (Obs.Json.Num ns) -> Some (name, ns)
+          | _ -> None)
+        kernels
+    | _ -> [])
 
 let () =
   let base_path, new_path =

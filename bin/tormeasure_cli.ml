@@ -65,7 +65,9 @@ let ledger_arg =
 let obs_start ~metrics ~trace ~ledger =
   if metrics <> None || trace <> None || ledger <> None then Obs.set_enabled true
 
-(* Export what the run recorded and print the end-of-run summary. *)
+(* Export what the run recorded and print the end-of-run summary: the
+   metrics, then the ledger, whose phase table is the run's one timing
+   table. *)
 let obs_finish ~metrics ~trace ~ledger =
   if Obs.enabled () then begin
     let samples = Obs.Metrics.snapshot () in
@@ -90,7 +92,7 @@ let obs_finish ~metrics ~trace ~ledger =
       Obs.Export.write_file path (Obs.Ledger.to_jsonl events);
       Printf.printf "wrote %d ledger events to %s\n" (List.length events) path);
     print_newline ();
-    print_string (Obs.Export.summary samples spans);
+    print_string (Obs.Export.summary samples);
     if events <> [] then print_string (Obs.Ledger.summary events)
   end
 

@@ -39,9 +39,9 @@ val run : ?config:config -> seed:int -> unit -> result
     order inherited from the live run); [replay] memory-loads the
     segments and pushes the decoded events back through the same
     ingestion sink on the parallel pool — no torsim, no workload
-    sampling, no per-event allocation — merging in shard order so the
-    tallies are byte-identical to the live run at any [--jobs]
-    (DESIGN.md §3f). *)
+    sampling (decode still allocates about 103 B/event) — merging in
+    shard order so the tallies are byte-identical to the live run at
+    any [--jobs] (DESIGN.md §3f). *)
 
 type recording = {
   result : result;  (** the live run this recording captured *)

@@ -11,8 +11,8 @@
    findings in one file (the N-th identical (rule, message) pair keeps
    fingerprint N).
 
-   Everything here is dependency-free, including the small JSON reader
-   used by the round-trip tests and by [baseline] consumers. *)
+   Both documents are written through [Obs.Json], the repo's one JSON
+   codec; consumers read them back with [Obs.Json.of_string]. *)
 
 (* ---------- fingerprints ---------- *)
 
@@ -34,83 +34,55 @@ let with_fingerprints diags =
 
 (* ---------- JSON writing ---------- *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let severity_level = function
   | Diagnostic.Error -> "error"
   | Diagnostic.Warning -> "warning"
 
+let str s = Obs.Json.Str s
+let int i = Obs.Json.Num (float_of_int i)
+
 let json pairs =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"tool\":\"torlint\",\"findings\":[";
-  List.iteri
-    (fun i ((d : Diagnostic.t), fp) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"path\":";
-      buf_add_json_string b d.Diagnostic.path;
-      Buffer.add_string b (Printf.sprintf ",\"line\":%d,\"col\":%d," d.line d.col);
-      Buffer.add_string b "\"rule\":";
-      buf_add_json_string b d.rule_id;
-      Buffer.add_string b ",\"severity\":";
-      buf_add_json_string b (severity_level d.severity);
-      Buffer.add_string b ",\"message\":";
-      buf_add_json_string b d.message;
-      Buffer.add_string b ",\"fingerprint\":";
-      buf_add_json_string b fp;
-      Buffer.add_char b '}')
-    pairs;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let finding ((d : Diagnostic.t), fp) =
+    Obs.Json.Obj
+      [ ("path", str d.path); ("line", int d.line); ("col", int d.col); ("rule", str d.rule_id);
+        ("severity", str (severity_level d.severity)); ("message", str d.message);
+        ("fingerprint", str fp) ]
+  in
+  Obs.Json.to_string
+    (Obj [ ("tool", str "torlint"); ("findings", Arr (List.map finding pairs)) ])
+  ^ "\n"
 
 let sarif ~rules pairs =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"torlint\",\"informationUri\":\"https://example.invalid/torlint\",\"rules\":[";
-  List.iteri
-    (fun i (id, doc) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"id\":";
-      buf_add_json_string b id;
-      Buffer.add_string b ",\"shortDescription\":{\"text\":";
-      buf_add_json_string b doc;
-      Buffer.add_string b "}}")
-    rules;
-  Buffer.add_string b "]}},\"results\":[";
-  List.iteri
-    (fun i ((d : Diagnostic.t), fp) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"ruleId\":";
-      buf_add_json_string b d.Diagnostic.rule_id;
-      Buffer.add_string b ",\"level\":";
-      buf_add_json_string b (severity_level d.severity);
-      Buffer.add_string b ",\"message\":{\"text\":";
-      buf_add_json_string b d.message;
-      Buffer.add_string b
-        "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":";
-      buf_add_json_string b d.path;
-      Buffer.add_string b
-        (Printf.sprintf
-           "},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}],\"partialFingerprints\":{\"torlint/v1\":"
-           d.line (d.col + 1));
-      buf_add_json_string b fp;
-      Buffer.add_string b "}}")
-    pairs;
-  Buffer.add_string b "]}]}\n";
-  Buffer.contents b
+  let text t = Obs.Json.Obj [ ("text", str t) ] in
+  let rule (id, doc) = Obs.Json.Obj [ ("id", str id); ("shortDescription", text doc) ] in
+  let result ((d : Diagnostic.t), fp) =
+    let location =
+      Obs.Json.Obj
+        [ ( "physicalLocation",
+            Obj
+              [ ("artifactLocation", Obj [ ("uri", str d.path) ]);
+                ( "region",
+                  Obj [ ("startLine", int d.line); ("startColumn", int (d.col + 1)) ] ) ] ) ]
+    in
+    Obs.Json.Obj
+      [ ("ruleId", str d.rule_id); ("level", str (severity_level d.severity));
+        ("message", text d.message); ("locations", Arr [ location ]);
+        ("partialFingerprints", Obj [ ("torlint/v1", str fp) ]) ]
+  in
+  let driver =
+    Obs.Json.Obj
+      [ ("name", str "torlint"); ("informationUri", str "https://example.invalid/torlint");
+        ("rules", Arr (List.map rule rules)) ]
+  in
+  let run =
+    Obs.Json.Obj
+      [ ("tool", Obj [ ("driver", driver) ]); ("results", Arr (List.map result pairs)) ]
+  in
+  Obs.Json.to_string
+    (Obj
+       [ ("$schema", str "https://json.schemastore.org/sarif-2.1.0.json"); ("version", str "2.1.0");
+         ("runs", Arr [ run ]) ])
+  ^ "\n"
 
 (* ---------- baseline files ---------- *)
 
@@ -135,174 +107,3 @@ let baseline_of_string text =
            | None -> line
          in
          match String.trim line with "" -> None | fp -> Some fp)
-
-(* ---------- a small JSON reader ---------- *)
-
-type value =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of value list
-  | Obj of (string * value) list
-
-exception Bad of string
-
-let parse_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let m = String.length word in
-    if !pos + m <= n && String.sub text !pos m = word then begin
-      pos := !pos + m;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-        | Some ('"' | '\\' | '/') ->
-          Buffer.add_char b (Option.get (peek ()));
-          advance ();
-          go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "bad \\u escape";
-          let hex = String.sub text !pos 4 in
-          pos := !pos + 4;
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> fail "bad \\u escape"
-          in
-          (* decode to UTF-8; surrogate pairs are not needed for our
-             ASCII-clean diagnostics *)
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        Obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        Arr (elements [])
-      end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  match parse_value () with
-  | v ->
-    skip_ws ();
-    if !pos < n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok v
-  | exception Bad msg -> Error msg
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None

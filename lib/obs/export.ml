@@ -1,8 +1,8 @@
 (* Exporters: Prometheus text exposition for the metrics registry,
-   JSON-lines for trace spans, a JSON object for bench snapshots, and a
-   human end-of-run summary table. Output is deterministic for a given
-   registry/span-buffer state (snapshots are name-sorted and numbers
-   formatted by one function). *)
+   JSON-lines for trace spans, a JSON object for bench snapshots (both
+   through [Json]), and a human end-of-run metrics table. Output is
+   deterministic for a given registry/span-buffer state (snapshots are
+   name-sorted and numbers formatted by one function). *)
 
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -61,34 +61,16 @@ let prometheus samples =
     samples;
   Buffer.contents b
 
-(* --- JSON helpers --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* --- JSON (through the one codec, at the exporters' display precision) --- *)
 
 let span_json (s : Trace.span) =
-  let attrs =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) s.Trace.attrs)
-  in
-  Printf.sprintf
-    "{\"id\":%d,\"parent\":%s,\"depth\":%d,\"name\":\"%s\",\"start_s\":%s,\"duration_s\":%s,\"alloc_bytes\":%s,\"attrs\":{%s}}"
-    s.Trace.id
-    (match s.Trace.parent with None -> "null" | Some p -> string_of_int p)
-    s.Trace.depth (json_escape s.Trace.name) (fmt_float s.Trace.start_s)
-    (fmt_float s.Trace.duration_s) (fmt_float s.Trace.alloc_bytes) attrs
+  let num v = Json.Num v and int i = Json.Num (float_of_int i) in
+  Json.to_string ~float:fmt_float
+    (Obj
+       [ ("id", int s.id); ("parent", match s.parent with None -> Null | Some p -> int p);
+         ("depth", int s.depth); ("name", Str s.name); ("start_s", num s.start_s);
+         ("duration_s", num s.duration_s); ("alloc_bytes", num s.alloc_bytes);
+         ("attrs", Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.attrs)) ])
 
 let trace_jsonl spans = String.concat "" (List.map (fun s -> span_json s ^ "\n") spans)
 
@@ -97,52 +79,20 @@ let trace_jsonl spans = String.concat "" (List.map (fun s -> span_json s ^ "\n")
 let snapshot_json samples =
   let field { Metrics.name; value } =
     match value with
-    | Metrics.Counter_sample v | Metrics.Gauge_sample v ->
-      Printf.sprintf "\"%s\":%s" (json_escape name) (fmt_float v)
+    | Metrics.Counter_sample v | Metrics.Gauge_sample v -> (name, Json.Num v)
     | Metrics.Histogram_sample { sum; total; _ } ->
-      Printf.sprintf "\"%s\":{\"sum\":%s,\"count\":%d}" (json_escape name) (fmt_float sum) total
+      (name, Json.Obj [ ("sum", Num sum); ("count", Num (float_of_int total)) ])
   in
-  "{" ^ String.concat "," (List.map field samples) ^ "}"
+  Json.to_string ~float:fmt_float (Obj (List.map field samples))
 
 (* --- end-of-run summary --- *)
 
-type agg = { mutable n : int; mutable total_s : float; mutable alloc : float }
-
-let summary samples spans =
+(* Metrics only: the run's one timing table is the ledger's phase
+   table ([Ledger.summary]), built from the same spans. *)
+let summary samples =
   let b = Buffer.create 2048 in
   Buffer.add_string b "== telemetry summary ==\n";
-  (* spans aggregated by name *)
-  if spans <> [] then begin
-    let by_name : (string, agg) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (s : Trace.span) ->
-        let a =
-          match Hashtbl.find_opt by_name s.Trace.name with
-          | Some a -> a
-          | None ->
-            let a = { n = 0; total_s = 0.0; alloc = 0.0 } in
-            Hashtbl.replace by_name s.Trace.name a;
-            a
-        in
-        a.n <- a.n + 1;
-        a.total_s <- a.total_s +. s.Trace.duration_s;
-        a.alloc <- a.alloc +. s.Trace.alloc_bytes)
-      spans;
-    let rows =
-      Hashtbl.fold (fun name a acc -> (name, a) :: acc) by_name []
-      |> List.sort (fun (_, a) (_, b) -> compare b.total_s a.total_s)
-    in
-    Buffer.add_string b
-      (Printf.sprintf "   %-34s %8s %12s %12s %12s\n" "span" "count" "total ms" "mean ms" "alloc MB");
-    List.iter
-      (fun (name, a) ->
-        Buffer.add_string b
-          (Printf.sprintf "   %-34s %8d %12.2f %12.4f %12.2f\n" name a.n (1e3 *. a.total_s)
-             (1e3 *. a.total_s /. float_of_int a.n)
-             (a.alloc /. 1048576.0)))
-      rows
-  end;
-  (* counters and gauges, histograms as p50/p99 *)
+  (* counters and gauges, histograms as sum/count *)
   if samples <> [] then begin
     Buffer.add_string b (Printf.sprintf "   %-58s %16s\n" "metric" "value");
     List.iter

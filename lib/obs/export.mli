@@ -10,14 +10,14 @@ val trace_jsonl : Trace.span list -> string
     [{"id":..,"parent":..,"depth":..,"name":..,"start_s":..,
       "duration_s":..,"alloc_bytes":..,"attrs":{..}}]. *)
 
-val span_json : Trace.span -> string
-
 val snapshot_json : Metrics.sample list -> string
 (** Flat JSON object (counters/gauges as numbers, histograms as
-    [{"sum":..,"count":..}]) — used by the bench harness. *)
+    [{"sum":..,"count":..}]) — used by the bench harness. Both JSON
+    exporters write through {!Json} with 9 significant digits. *)
 
-val summary : Metrics.sample list -> Trace.span list -> string
-(** Human-readable end-of-run table: spans aggregated by name (count,
-    total/mean wall ms, allocation) followed by every metric. *)
+val summary : Metrics.sample list -> string
+(** Human-readable end-of-run table of every metric. Timings are not
+    repeated here: the run's one timing table is {!Ledger.summary}'s
+    phase table. *)
 
 val write_file : string -> string -> unit

@@ -85,27 +85,14 @@ let proof ~kind ~party ~ok ~batch = record (Proof { kind; party; ok; batch })
 let note ~key ~value = record (Note { key; value })
 
 (* A phase is a traced span that additionally leaves a Phase event in
-   the ledger at completion (timings are the only jobs-dependent
-   fields; [audit] and the canonical form ignore them). *)
+   the ledger at completion, built from the span's own clock and Gc
+   reads (timings are the only jobs-dependent fields; [audit] and the
+   canonical form ignore them). *)
 let phase ?attrs name f =
   if not !Control.on then f ()
   else
-    Trace.with_span ?attrs name (fun () ->
-        let t0 = Trace.now () in
-        let a0 = Gc.allocated_bytes () in
-        let finish () =
-          append
-            (Phase
-               { name; wall_s = Trace.now () -. t0; alloc_bytes = Gc.allocated_bytes () -. a0 })
-        in
-        match f () with
-        | v ->
-          finish ();
-          v
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          finish ();
-          Printexc.raise_with_backtrace e bt)
+    Trace.with_span ?attrs name f ~on_close:(fun (sp : Trace.span) ->
+        append (Phase { name; wall_s = sp.duration_s; alloc_bytes = sp.alloc_bytes }))
 
 let events () = List.rev !main
 let size () = !main_count
@@ -115,219 +102,46 @@ let reset () =
   main_count := 0;
   Hashtbl.reset running
 
-(* --- JSONL export --- *)
+(* --- JSONL export / import --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Shortest decimal that round-trips, so [of_jsonl] reconstructs every
-   field bit-for-bit (non-finite values cannot occur: all recorded
-   quantities are finite by construction). *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else
-    let s = Printf.sprintf "%.15g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
-
-let event_json ~timings ev =
+let event_json ~timings ev : Json.t =
+  let str s = Json.Str s and num v = Json.Num v and int i = Json.Num (float_of_int i) in
   match ev with
   | Grant { system; epsilon; delta } ->
-    Printf.sprintf "{\"e\":\"grant\",\"system\":\"%s\",\"epsilon\":%s,\"delta\":%s}"
-      (json_escape system) (json_float epsilon) (json_float delta)
+    Obj
+      [ ("e", str "grant"); ("system", str system); ("epsilon", num epsilon);
+        ("delta", num delta) ]
   | Draw { system; counter; mechanism; epsilon; delta; cum_epsilon; cum_delta } ->
-    Printf.sprintf
-      "{\"e\":\"draw\",\"system\":\"%s\",\"counter\":\"%s\",\"mechanism\":\"%s\",\"epsilon\":%s,\"delta\":%s,\"cum_epsilon\":%s,\"cum_delta\":%s}"
-      (json_escape system) (json_escape counter) (json_escape mechanism) (json_float epsilon)
-      (json_float delta) (json_float cum_epsilon) (json_float cum_delta)
+    Obj
+      [ ("e", str "draw"); ("system", str system); ("counter", str counter);
+        ("mechanism", str mechanism); ("epsilon", num epsilon); ("delta", num delta);
+        ("cum_epsilon", num cum_epsilon); ("cum_delta", num cum_delta) ]
   | Proof { kind; party; ok; batch } ->
-    Printf.sprintf "{\"e\":\"proof\",\"kind\":\"%s\",\"party\":%d,\"ok\":%b,\"batch\":%d}"
-      (json_escape kind) party ok batch
+    Obj [ ("e", str "proof"); ("kind", str kind); ("party", int party); ("ok", Bool ok);
+          ("batch", int batch) ]
   | Phase { name; wall_s; alloc_bytes } ->
     let w, a = if timings then (wall_s, alloc_bytes) else (0.0, 0.0) in
-    Printf.sprintf "{\"e\":\"phase\",\"name\":\"%s\",\"wall_s\":%s,\"alloc_bytes\":%s}"
-      (json_escape name) (json_float w) (json_float a)
-  | Note { key; value } ->
-    Printf.sprintf "{\"e\":\"note\",\"key\":\"%s\",\"value\":\"%s\"}" (json_escape key)
-      (json_escape value)
+    Obj [ ("e", str "phase"); ("name", str name); ("wall_s", num w); ("alloc_bytes", num a) ]
+  | Note { key; value } -> Obj [ ("e", str "note"); ("key", str key); ("value", str value) ]
 
 let to_jsonl ?(timings = true) evs =
-  String.concat "" (List.map (fun ev -> event_json ~timings ev ^ "\n") evs)
-
-(* --- JSONL import --- *)
-
-(* Minimal parser for the flat one-object-per-line form [to_jsonl]
-   emits: string, number, and boolean fields only. *)
-
-exception Bad of string
-
-type jv = S of string | N of float | B of bool
-
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> raise (Bad (Printf.sprintf "expected '%c' at offset %d" c !pos))
-  in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> raise (Bad "bad \\u escape")
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match line.[!pos] with
-      | '"' ->
-        incr pos;
-        Buffer.contents b
-      | '\\' ->
-        incr pos;
-        (if !pos >= n then raise (Bad "unterminated escape");
-         match line.[!pos] with
-         | '"' ->
-           Buffer.add_char b '"';
-           incr pos
-         | '\\' ->
-           Buffer.add_char b '\\';
-           incr pos
-         | '/' ->
-           Buffer.add_char b '/';
-           incr pos
-         | 'n' ->
-           Buffer.add_char b '\n';
-           incr pos
-         | 'r' ->
-           Buffer.add_char b '\r';
-           incr pos
-         | 't' ->
-           Buffer.add_char b '\t';
-           incr pos
-         | 'u' ->
-           if !pos + 4 >= n then raise (Bad "truncated \\u escape");
-           let code =
-             (hex line.[!pos + 1] * 4096) + (hex line.[!pos + 2] * 256)
-             + (hex line.[!pos + 3] * 16) + hex line.[!pos + 4]
-           in
-           if code > 0xff then raise (Bad "unsupported \\u escape (non-latin1)");
-           Buffer.add_char b (Char.chr code);
-           pos := !pos + 5
-         | c -> raise (Bad (Printf.sprintf "bad escape '\\%c'" c)));
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ()
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub line !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else raise (Bad ("bad literal at offset " ^ string_of_int !pos))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some 't' -> literal "true" (B true)
-    | Some 'f' -> literal "false" (B false)
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match line.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then raise (Bad ("bad value at offset " ^ string_of_int start));
-      (match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some v -> N v
-      | None -> raise (Bad "bad number"))
-    | None -> raise (Bad "unexpected end of line")
-  in
-  expect '{';
-  skip_ws ();
-  let fields =
-    if peek () = Some '}' then begin
-      incr pos;
-      []
-    end
-    else begin
-      let acc = ref [] in
-      let rec go () =
-        skip_ws ();
-        let k = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        acc := (k, v) :: !acc;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          incr pos;
-          go ()
-        | Some '}' -> incr pos
-        | _ -> raise (Bad "expected ',' or '}'")
-      in
-      go ();
-      List.rev !acc
-    end
-  in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing characters after object");
-  fields
+  String.concat "" (List.map (fun ev -> Json.to_string (event_json ~timings ev) ^ "\n") evs)
 
 let ( let* ) = Result.bind
 
-let str_field fields k =
-  match List.assoc_opt k fields with
-  | Some (S s) -> Ok s
-  | _ -> Error (Printf.sprintf "field %S missing or not a string" k)
+let field fields k what decode =
+  match Option.bind (Json.member k fields) decode with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "field %S missing or not %s" k what)
 
-let num_field fields k =
-  match List.assoc_opt k fields with
-  | Some (N v) -> Ok v
-  | _ -> Error (Printf.sprintf "field %S missing or not a number" k)
+let str_field fields k = field fields k "a string" (function Json.Str s -> Some s | _ -> None)
+let num_field fields k = field fields k "a number" (function Json.Num v -> Some v | _ -> None)
+let bool_field fields k = field fields k "a boolean" (function Json.Bool b -> Some b | _ -> None)
 
 let int_field fields k =
-  let* v = num_field fields k in
-  if Float.is_integer v && Float.abs v <= 1e9 then Ok (int_of_float v)
-  else Error (Printf.sprintf "field %S is not an integer" k)
-
-let bool_field fields k =
-  match List.assoc_opt k fields with
-  | Some (B v) -> Ok v
-  | _ -> Error (Printf.sprintf "field %S missing or not a boolean" k)
+  field fields k "an integer" (function
+    | Json.Num v when Float.is_integer v && Float.abs v <= 1e9 -> Some (int_of_float v)
+    | _ -> None)
 
 let event_of_fields fields =
   let* tag = str_field fields "e" in
@@ -364,23 +178,21 @@ let event_of_fields fields =
   | other -> Error (Printf.sprintf "unknown event type %S" other)
 
 let of_jsonl text =
-  let lines = String.split_on_char '\n' text in
   let rec go lineno acc = function
     | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) acc rest
-      else begin
-        let parsed =
-          match parse_object line with
-          | fields -> event_of_fields fields
-          | exception Bad msg -> Error msg
-        in
-        match parsed with
-        | Ok ev -> go (lineno + 1) (ev :: acc) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-      end
+    | line :: rest when String.trim line = "" -> go (lineno + 1) acc rest
+    | line :: rest -> (
+      let parsed =
+        match Json.of_string line with
+        | Ok (Obj _ as fields) -> event_of_fields fields
+        | Ok _ -> Error "not a JSON object"
+        | Error msg -> Error msg
+      in
+      match parsed with
+      | Ok ev -> go (lineno + 1) (ev :: acc) rest
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  go 1 [] lines
+  go 1 [] (String.split_on_char '\n' text)
 
 (* --- audit --- *)
 
@@ -459,6 +271,20 @@ let audit evs =
 
 (* --- human summary --- *)
 
+let phase_totals evs =
+  let totals = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (function
+      | Phase { name; wall_s; alloc_bytes } -> (
+        match Hashtbl.find_opt totals name with
+        | Some (n, w, a) -> Hashtbl.replace totals name (n + 1, w +. wall_s, a +. alloc_bytes)
+        | None ->
+          order := name :: !order;
+          Hashtbl.replace totals name (1, wall_s, alloc_bytes))
+      | _ -> ())
+    evs;
+  List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order
+
 let summary evs =
   let b = Buffer.create 2048 in
   Buffer.add_string b "== run ledger ==\n";
@@ -503,31 +329,16 @@ let summary evs =
         Buffer.add_string b (Printf.sprintf "   %-22s %8d %8d %12d\n" kind n f bt))
       (sorted_bindings proofs)
   end;
-  (* phases by name, in first-completion order *)
-  let order = ref [] in
-  let phases : (string, int * float * float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Phase { name; wall_s; alloc_bytes } ->
-        (match Hashtbl.find_opt phases name with
-        | Some (n, w, al) -> Hashtbl.replace phases name (n + 1, w +. wall_s, al +. alloc_bytes)
-        | None ->
-          order := name :: !order;
-          Hashtbl.replace phases name (1, wall_s, alloc_bytes))
-      | _ -> ())
-    evs;
-  if !order <> [] then begin
+  (* the run's one timing table *)
+  let phases = phase_totals evs in
+  if phases <> [] then begin
     Buffer.add_string b
       (Printf.sprintf "   %-34s %8s %12s %12s\n" "phase" "count" "total ms" "alloc MB");
     List.iter
-      (fun name ->
-        match Hashtbl.find_opt phases name with
-        | Some (n, w, al) ->
-          Buffer.add_string b
-            (Printf.sprintf "   %-34s %8d %12.2f %12.2f\n" name n (1e3 *. w) (al /. 1048576.0))
-        | None -> ())
-      (List.rev !order)
+      (fun (name, (n, w, al)) ->
+        Buffer.add_string b
+          (Printf.sprintf "   %-34s %8d %12.2f %12.2f\n" name n (1e3 *. w) (al /. 1048576.0)))
+      phases
   end;
   List.iter
     (fun ev ->

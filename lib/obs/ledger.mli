@@ -46,8 +46,9 @@ val note : key:string -> value:string -> unit
 
 val phase : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a {!Trace.with_span} span and additionally
-    record a [Phase] event at completion (also when the thunk raises).
-    Reduces to a plain call while disabled. *)
+    record a [Phase] event at completion (also when the thunk raises)
+    whose [wall_s]/[alloc_bytes] are the span's own [duration_s]/
+    [alloc_bytes]. Reduces to a plain call while disabled. *)
 
 val events : unit -> event list
 (** Recorded events, oldest first. *)
@@ -60,16 +61,22 @@ val reset : unit -> unit
 val to_jsonl : ?timings:bool -> event list -> string
 (** One JSON object per line. [~timings:false] zeroes the [wall_s] and
     [alloc_bytes] fields of [Phase] events — the canonical form used to
-    compare ledgers across pool sizes. Floats are printed shortest
-    round-trip, so {!of_jsonl} reconstructs every field exactly. *)
+    compare ledgers across pool sizes. Written through {!Json}; floats
+    are printed shortest round-trip, so {!of_jsonl} reconstructs every
+    field exactly. *)
 
 val of_jsonl : string -> (event list, string) result
 (** Parse [to_jsonl] output (blank lines are skipped); the error
     message names the first offending line. *)
 
+val phase_totals : event list -> (string * (int * float * float)) list
+(** [Phase] rows aggregated by name, in first-completion order:
+    (count, total [wall_s], total [alloc_bytes]). *)
+
 val summary : event list -> string
 (** Human-readable tables: budget spend per system, proof outcomes per
-    kind, phase timings, notes. *)
+    kind, phase timings ({!phase_totals} — the run's one timing table),
+    notes. *)
 
 (** {2 Audit} *)
 

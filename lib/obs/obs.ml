@@ -1,13 +1,15 @@
 (* Telemetry subsystem: a process-wide metrics registry, nested tracing
-   spans, an append-only audit ledger, and exporters. Everything is off
-   by default; recording entry points check one global flag, so
-   instrumented hot paths cost a load and a branch when telemetry is
-   disabled and leave no residue. *)
+   spans, an append-only audit ledger, exporters, and the JSON codec
+   they all write and read through. Everything is off by default;
+   recording entry points check one global flag, so instrumented hot
+   paths cost a load and a branch when telemetry is disabled and leave
+   no residue. *)
 
 module Metrics = Metrics
 module Trace = Trace
 module Ledger = Ledger
 module Export = Export
+module Json = Json
 
 let enabled = Control.enabled
 let set_enabled = Control.set_enabled

@@ -74,7 +74,7 @@ let record st sp =
 
 let now () = Unix.gettimeofday ()
 
-let with_span ?(attrs = []) name f =
+let with_span ?(attrs = []) ?on_close name f =
   if not !Control.on then f ()
   else begin
     let st = store () in
@@ -96,11 +96,14 @@ let with_span ?(attrs = []) name f =
         | [] -> ()
       in
       if List.exists (fun top -> top.fid = fr.fid) st.sstack then pop st.sstack;
-      record st
+      let sp =
         { id = fr.fid; parent = fr.fparent; depth = fr.fdepth; name = fr.fname;
           attrs = List.rev fr.fattrs; start_s = fr.fstart;
           duration_s = now () -. fr.fstart;
           alloc_bytes = Gc.allocated_bytes () -. fr.falloc }
+      in
+      record st sp;
+      Option.iter (fun k -> k sp) on_close
     in
     match f () with
     | v ->

@@ -14,12 +14,15 @@ type span = {
   alloc_bytes : float;  (** Gc.allocated_bytes delta, children included *)
 }
 
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?attrs:(string * string) list -> ?on_close:(span -> unit) -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span. The span is recorded even when the
     thunk raises: frames the exception unwound through are discarded, an
     ["error"] attribute carrying the exception is attached, and the
     exception is re-raised with its backtrace — the surrounding nesting
-    state is exactly as if the thunk had returned. *)
+    state is exactly as if the thunk had returned. [on_close] receives
+    the finished span (also one dropped at capacity); {!Ledger.phase}
+    builds its [Phase] row from it, so a phase is measured once. *)
 
 val add_attr : string -> string -> unit
 (** Attach an attribute to the innermost open span (no-op outside any

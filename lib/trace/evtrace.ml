@@ -7,9 +7,10 @@
    carry only small integers, with client ip / asn / port / host id
    encoded as zigzag deltas against the previous record's values, so
    the common event costs 2-5 bytes. Replay decodes the payload in
-   place into one reused mutable view — the hot loop allocates
-   nothing, which is what lets ingestion benchmarks run at 100M+
-   events (DESIGN.md §3f). *)
+   place into one reused mutable view, which is what lets ingestion
+   benchmarks run at 100M+ events (DESIGN.md §3f); the loop is not
+   allocation-free (about 103 B/event, measured by the replay-ingest
+   benchmark). *)
 
 type error = Bus.Codec.error
 

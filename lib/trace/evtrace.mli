@@ -14,10 +14,12 @@
 
     Header fields are written with the [Bus.Codec] primitives; the
     record payload uses the same varint/zigzag wire forms through an
-    inlined cursor so the replay hot loop stays allocation-free. Replay
-    reads a whole segment into one buffer and decodes records in place
-    into a single reused {!View.t} — no torsim, no per-event
-    allocation.
+    inlined cursor. Replay reads a whole segment into one buffer and
+    decodes records in place into a single reused {!View.t} — no
+    torsim event values. It is not allocation-free: the
+    replay-ingest benchmark measures about 103 B/event
+    ([alloc_b_per_unit]; the [replay_allocates] finding in
+    [perfbench/plan.json]), the same figure as {!iter} alone.
 
     Decoding never raises across the API boundary except through the
     documented {!Error} wrapper used inside pool workers; malformed
@@ -152,8 +154,9 @@ val iter : Segment.t -> (View.t -> unit) -> (int, error) result
 (** Decode every record in payload order into one reused view and hand
     it to the sink; returns the number of records decoded. Fails with
     [Invalid] if the decoded count disagrees with the header, and with
-    the usual typed errors on malformed payload bytes. The sink runs
-    zero-allocation apart from what it does itself. *)
+    the usual typed errors on malformed payload bytes. The decode loop
+    itself allocates about 103 B/record (see the header above); the
+    sink adds whatever it allocates. *)
 
 val iter_events : Segment.t -> (Torsim.Event.t -> unit) -> (int, error) result
 (** {!iter} through {!View.to_event} (allocates one event per record). *)

@@ -187,20 +187,26 @@ let test_trace_jsonl_parseable () =
           Obs.Trace.with_span "b" (fun () -> ()));
       let out = Obs.Export.trace_jsonl (Obs.Trace.spans ()) in
       let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' out) in
-      Alcotest.(check int) "one line per span" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          Alcotest.(check bool) "object shaped" true
-            (String.length line > 2 && line.[0] = '{' && line.[String.length line - 1] = '}');
-          List.iter
-            (fun field ->
-              Alcotest.(check bool) (field ^ " present") true
-                (is_infix ~affix:field line))
-            [ "\"id\":"; "\"parent\":"; "\"depth\":"; "\"name\":"; "\"start_s\":";
-              "\"duration_s\":"; "\"alloc_bytes\":"; "\"attrs\":" ])
-        lines;
-      Alcotest.(check bool) "escaped quotes" true
-        (is_infix ~affix:{|\"hi\"|} out))
+      let parse line =
+        match Obs.Json.of_string line with Ok v -> v | Error e -> Alcotest.failf "%s: %s" e line
+      in
+      match (List.map parse lines, Obs.Trace.spans ()) with
+      | [ b; a ], [ sb; sa ] ->
+        let field k v = Obs.Json.member k v and num x = Some (Obs.Json.Num (float_of_int x)) in
+        let check what ok = Alcotest.(check bool) what true ok in
+        check "names" (field "name" b = Some (Str "b") && field "name" a = Some (Str "a"));
+        check "ids" (field "id" b = num sb.id && field "id" a = num sa.id);
+        check "parents" (field "parent" b = num sa.id && field "parent" a = Some Null);
+        check "depths" (field "depth" b = num 1 && field "depth" a = num 0);
+        List.iter
+          (fun k ->
+            check (k ^ " non-negative")
+              (match field k a with Some (Num x) -> x >= 0.0 | _ -> false))
+          [ "start_s"; "duration_s"; "alloc_bytes" ];
+        check "escaped attr reads back"
+          (field "attrs" a = Some (Obj [ ("quote", Str "say \"hi\"") ]));
+        check "empty attrs" (field "attrs" b = Some (Obj []))
+      | _ -> Alcotest.failf "expected two parsed lines:\n%s" out)
 
 let test_snapshot_json_parses_back () =
   with_obs (fun () ->
@@ -218,9 +224,85 @@ let test_summary_nonempty () =
   with_obs (fun () ->
       Obs.Metrics.inc "c_total";
       Obs.Trace.with_span "s" (fun () -> ());
-      let s = Obs.Export.summary (Obs.Metrics.snapshot ()) (Obs.Trace.spans ()) in
-      Alcotest.(check bool) "mentions span" true (is_infix ~affix:"s" s);
-      Alcotest.(check bool) "mentions metric" true (is_infix ~affix:"c_total" s))
+      let s = Obs.Export.summary (Obs.Metrics.snapshot ()) in
+      Alcotest.(check bool) "mentions metric" true (is_infix ~affix:"c_total" s);
+      Alcotest.(check bool) "no timing table" false (is_infix ~affix:"total ms" s))
+
+(* --- JSON codec --- *)
+
+let test_json_unicode_escapes () =
+  let str text =
+    match Obs.Json.of_string text with
+    | Ok (Obs.Json.Str s) -> s
+    | Ok _ -> Alcotest.failf "%s: not a string" text
+    | Error e -> Alcotest.failf "%s: %s" text e
+  in
+  Alcotest.(check string) "below 0x80 is one byte" "\x01A" (str {|"\u0001\u0041"|});
+  Alcotest.(check string) "\\u00e9 decodes as UTF-8" "\xc3\xa9" (str {|"\u00e9"|});
+  Alcotest.(check string) "raw bytes kept" "\xc3\xa9\xff" (str "\"\xc3\xa9\xff\"");
+  Alcotest.(check string) "BMP" "\xe2\x82\xac" (str {|"\u20AC"|});
+  Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80" (str {|"\ud83d\ude00"|});
+  List.iter
+    (fun bad ->
+      match Obs.Json.of_string bad with
+      | Ok _ -> Alcotest.failf "accepted %s" bad
+      | Error _ -> ())
+    [ {|"\ud83d"|}; {|"\ude00"|}; {|"\u12"|}; {|"\uzzzz"|}; {|"\q"|}; {|"open|};
+      "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; ""; String.make 100_000 '[' ]
+
+(* Values whose strings need every kind of escaping: quotes,
+   backslashes, control characters and bytes >= 0x80. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (3, char_range 'a' 'z'); (1, oneofl [ '"'; '\\'; '/' ]); (1, char_range '\000' '\031');
+        (2, char_range '\128' '\255') ]
+  in
+  let str = string_size ~gen:byte (int_range 0 10) in
+  let num =
+    oneof
+      [ map (fun i -> float_of_int i /. 7.0) (int_range (-1_000_000) 1_000_000);
+        oneofl [ 0.1; -0.0; 1e-11; 4.9e-324; 1.5e300; 1e15; 123456789012345678. ] ]
+  in
+  let leaf =
+    oneof
+      [ return Obs.Json.Null; map (fun b -> Obs.Json.Bool b) bool;
+        map (fun v -> Obs.Json.Num v) num; map (fun s -> Obs.Json.Str s) str ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         let items g = list_size (int_bound 4) g in
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (2, leaf); (1, map (fun l -> Obs.Json.Arr l) (items (self (depth - 1))));
+               (1, map (fun l -> Obs.Json.Obj l) (items (pair str (self (depth - 1))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json read . write = id" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun v -> Obs.Json.of_string (Obs.Json.to_string v) = Ok v)
+
+(* Arbitrary bytes, and JSON-alphabet soup that reaches the deeper
+   states of the reader: always [Ok] or [Error], never an exception. *)
+let prop_json_total =
+  let soup =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; 'u'; 'd'; '8'; '0'; 'e'; '-';
+                       '.'; 't'; 'n'; ' '; '\n'; '\xc3' ])
+        (int_range 0 40))
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ string_size ~gen:char (int_range 0 40); soup;
+          map (fun v -> let s = Obs.Json.to_string v in String.sub s 0 (String.length s / 2))
+            json_gen ])
+  in
+  QCheck.Test.make ~name:"json reader is total" ~count:2000 (QCheck.make ~print:String.escaped gen)
+    (fun text -> match Obs.Json.of_string text with Ok _ | Error _ -> true)
 
 (* --- golden output bytes --- *)
 
@@ -347,6 +429,31 @@ let test_ledger_phase_event () =
         Alcotest.(check bool) "wall time non-negative" true (wall_s >= 0.0);
         Alcotest.(check int) "one span per phase" 2 (Obs.Trace.count ())
       | _ -> Alcotest.fail "expected two phase events")
+
+(* A phase is measured once: every Phase row carries exactly the
+   duration and allocation of its span, raising phases included. *)
+let test_phase_rows_are_span_measurements () =
+  with_obs (fun () ->
+      Obs.Ledger.phase "outer" (fun () ->
+          for i = 1 to 3 do
+            Obs.Ledger.phase "inner" (fun () -> ignore (Sys.opaque_identity (Array.make i 0.0)))
+          done);
+      (try Obs.Ledger.phase "raises" (fun () -> failwith "x") with Failure _ -> ());
+      let rows =
+        List.filter_map
+          (function
+            | Obs.Ledger.Phase { name; wall_s; alloc_bytes } -> Some (name, wall_s, alloc_bytes)
+            | _ -> None)
+          (Obs.Ledger.events ())
+      in
+      let spans =
+        List.map
+          (fun (sp : Obs.Trace.span) -> (sp.name, sp.duration_s, sp.alloc_bytes))
+          (Obs.Trace.spans ())
+      in
+      Alcotest.(check int) "five phases" 5 (List.length rows);
+      Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+        "phase row = span measurement" spans rows)
 
 let roundtrip_events =
   [
@@ -552,10 +659,18 @@ let () =
           Alcotest.test_case "golden trace jsonl" `Quick test_golden_trace_jsonl;
           Alcotest.test_case "golden snapshot json" `Quick test_golden_snapshot_json;
         ] );
+      ( "json",
+        [
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_total;
+        ] );
       ( "ledger",
         [
           Alcotest.test_case "draw accumulates" `Quick test_ledger_draw_accumulates;
           Alcotest.test_case "phase events" `Quick test_ledger_phase_event;
+          Alcotest.test_case "phase rows are span measurements" `Quick
+            test_phase_rows_are_span_measurements;
           Alcotest.test_case "jsonl round-trip" `Quick test_ledger_jsonl_roundtrip;
           QCheck_alcotest.to_alcotest prop_ledger_roundtrip;
           Alcotest.test_case "audit violations" `Quick test_audit_flags_violations;

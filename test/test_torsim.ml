@@ -409,76 +409,6 @@ let test_engine_publish_signed () =
   Alcotest.(check int) "fetch fails: unknown to registry" 1
     t.Ground_truth.descriptor_fetch_failed
 
-(* --- wire format --- *)
-
-let wire_roundtrip event =
-  match Wire.of_line (Wire.to_line event) with
-  | Ok event' -> event' = event
-  | Error _ -> false
-
-let test_wire_roundtrip_all_kinds () =
-  let events =
-    [
-      Event.Client_connection { client_ip = 7; country = "US"; asn = 42 };
-      Event.Client_circuit { client_ip = 7; country = "DE"; asn = 1; kind = Event.Data_circuit };
-      Event.Client_circuit { client_ip = 7; country = "DE"; asn = 1; kind = Event.Directory_circuit };
-      Event.Entry_bytes { client_ip = 9; country = "AE"; asn = 5; bytes = 123456.0 };
-      Event.Directory_request { client_ip = 3 };
-      Event.Exit_stream { kind = Event.Initial; dest = Event.Hostname "www.amazon.com"; port = 443 };
-      Event.Exit_stream { kind = Event.Subsequent; dest = Event.Ipv4_literal; port = 80 };
-      Event.Exit_stream { kind = Event.Initial; dest = Event.Ipv6_literal; port = 22 };
-      Event.Exit_bytes { bytes = 512.0 };
-      Event.Descriptor_published { address = "abcdef.onion"; first_publish = true };
-      Event.Descriptor_fetch { address = "abcdef.onion"; result = Event.Fetch_ok { public = true } };
-      Event.Descriptor_fetch { address = "x.onion"; result = Event.Fetch_ok { public = false } };
-      Event.Descriptor_fetch { address = ""; result = Event.Fetch_malformed };
-      Event.Descriptor_fetch { address = "y.onion"; result = Event.Fetch_missing };
-      Event.Rendezvous_circuit { outcome = Event.Rend_success { cells = 1500 } };
-      Event.Rendezvous_circuit { outcome = Event.Rend_closed };
-      Event.Rendezvous_circuit { outcome = Event.Rend_expired };
-    ]
-  in
-  List.iter
-    (fun event ->
-      if not (wire_roundtrip event) then
-        Alcotest.fail ("roundtrip failed for " ^ Wire.to_line event))
-    events
-
-let test_wire_escaping () =
-  let event =
-    Event.Exit_stream
-      { kind = Event.Initial; dest = Event.Hostname "evil host=with%stuff"; port = 80 }
-  in
-  Alcotest.(check bool) "escaped hostname roundtrips" true (wire_roundtrip event)
-
-let test_wire_rejects_garbage () =
-  List.iter
-    (fun line ->
-      match Wire.of_line line with
-      | Ok _ -> Alcotest.fail ("accepted garbage: " ^ line)
-      | Error _ -> ())
-    [ ""; "NOPE x=1"; "CONN ip=abc cc=US asn=1"; "STREAM kind=initial port=80";
-      "REND outcome=success:xyz"; "HSPUB addr=a.onion first=maybe" ]
-
-let test_wire_log_roundtrip () =
-  let events =
-    List.init 50 (fun i ->
-        Event.Exit_stream
-          { kind = (if i mod 2 = 0 then Event.Initial else Event.Subsequent);
-            dest = Event.Hostname (Printf.sprintf "s%d.com" i); port = 443 })
-  in
-  let path = Filename.temp_file "wire" ".log" in
-  let oc = open_out path in
-  Wire.write_log oc events;
-  close_out oc;
-  let ic = open_in path in
-  let result = Wire.read_log ic in
-  close_in ic;
-  Sys.remove path;
-  match result with
-  | Ok events' -> Alcotest.(check int) "all events back" 50 (List.length events')
-  | Error e -> Alcotest.fail e
-
 (* --- onion registry --- *)
 
 let test_onion_addresses_unique () =
@@ -500,37 +430,6 @@ let test_bogus_addresses_not_registered () =
   let r = rng () in
   ignore (Onion.populate reg ~count:10 ~public_fraction:0.5 r);
   Alcotest.(check bool) "bogus not found" true (Onion.find reg (Onion.bogus_address 3) = None)
-
-let event_gen =
-  let open QCheck.Gen in
-  let host = map (Printf.sprintf "s%d.com") (int_bound 100_000) in
-  let country = oneofl [ "US"; "RU"; "DE"; "AE"; "XX" ] in
-  oneof
-    [
-      map3
-        (fun ip cc asn -> Event.Client_connection { client_ip = ip; country = cc; asn })
-        (int_bound 1_000_000) country (int_bound 60_000);
-      map3
-        (fun ip cc kind ->
-          Event.Client_circuit { client_ip = ip; country = cc; asn = 1; kind })
-        (int_bound 1_000_000) country
-        (oneofl [ Event.Data_circuit; Event.Directory_circuit ]);
-      map3
-        (fun kind h port -> Event.Exit_stream { kind; dest = Event.Hostname h; port })
-        (oneofl [ Event.Initial; Event.Subsequent ])
-        host (int_bound 65_535);
-      map (fun n -> Event.Exit_bytes { bytes = float_of_int n }) (int_bound 1_000_000_000);
-      map2
-        (fun addr first -> Event.Descriptor_published { address = addr; first_publish = first })
-        host bool;
-      map
-        (fun cells -> Event.Rendezvous_circuit { outcome = Event.Rend_success { cells } })
-        (int_bound 100_000);
-    ]
-
-let prop_wire_roundtrip =
-  QCheck.Test.make ~name:"wire roundtrip" ~count:500 (QCheck.make event_gen) (fun event ->
-      Wire.of_line (Wire.to_line event) = Ok event)
 
 let prop_ring_responsibility_stable =
   QCheck.Test.make ~name:"ring responsibility independent of query order" ~count:50
@@ -624,14 +523,7 @@ let () =
           Alcotest.test_case "v3 blinding" `Quick test_descriptor_v3_blinding;
           Alcotest.test_case "engine signed publish" `Quick test_engine_publish_signed;
         ] );
-      ( "wire",
-        [
-          Alcotest.test_case "roundtrip all kinds" `Quick test_wire_roundtrip_all_kinds;
-          Alcotest.test_case "escaping" `Quick test_wire_escaping;
-          Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
-          Alcotest.test_case "log roundtrip" `Quick test_wire_log_roundtrip;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_event_observed_fraction; prop_wire_roundtrip; prop_ring_responsibility_stable ] );
+          [ prop_event_observed_fraction; prop_ring_responsibility_stable ] );
     ]

@@ -33,6 +33,12 @@ let replayed_events seg =
 
 (* --- event generators --- *)
 
+(* Strings a text wire format would have to escape: separators,
+   escape characters, a newline, the empty string, non-ASCII bytes. *)
+let awkward_strings =
+  [ ""; "evil host=with%stuff"; "two words"; "line\nbreak"; "caf\xc3\xa9"; "\xff\x00raw";
+    "%41=%3D" ]
+
 let host_gen =
   QCheck.Gen.(
     frequency
@@ -41,6 +47,8 @@ let host_gen =
         (2, map (fun i -> Printf.sprintf "s%d.co.uk" (i mod 20)) small_nat);
         (1, map (fun i -> Printf.sprintf "x%d.onion" (i mod 10)) small_nat);
         (1, return "host.internal");
+        (1, oneofl (List.map (fun s -> s ^ ".onion") awkward_strings));
+        (1, oneofl awkward_strings);
       ])
 
 let dest_gen =
@@ -52,7 +60,9 @@ let dest_gen =
         (1, return Torsim.Event.Ipv6_literal);
       ])
 
-let country_gen = QCheck.Gen.(oneofl [ "US"; "DE"; "FR"; "RU"; "??" ])
+let country_gen =
+  QCheck.Gen.(
+    frequency [ (4, oneofl [ "US"; "DE"; "FR"; "RU"; "??" ]); (1, oneofl awkward_strings) ])
 
 (* Entry/exit volumes exercise both the integral-varint and the raw
    IEEE encodings. *)
