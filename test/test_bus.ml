@@ -387,6 +387,39 @@ let test_deploy_churn_matches_reference () =
     (Tormeasure.Deploy.run_reference cfg (scenario "churn"))
     o.Tormeasure.Deploy.digest
 
+(* Published-bytes digest and per-epoch delivery-order digests of every
+   catalogue scenario (default config, 2 epochs, seed 11), pinned: the
+   oracle for the bus deployment, independent of [run_reference]. *)
+let golden_deploys =
+  [ ("benign", "d753e27fa35bc5e21ec2753f6d47069125f9f0d41a3aa425393f5d56a88cb1e6",
+     [ "299930a01de0ac39513e69462ade339d8ecbc42160685d80aebb44fadd424c20";
+       "78f9116f8e9fe083a7cbfe3437d866588c4365df9eb71cee1e73e7f9ad8bbdde" ]);
+    ("dc-crash", "15e959ca4ff77e87cf88e7abc12c57c6a1b96020d78fb822474bf09f4dfdb10e",
+     [ "b9a191f3c1417131fcb358a2f9554253e097143a47b81319b6b992f25517a363";
+       "78f9116f8e9fe083a7cbfe3437d866588c4365df9eb71cee1e73e7f9ad8bbdde" ]);
+    ("churn", "c962d2d84a55a93f2b76bd7ea12848ee1e01d284c793cf511f9e532617fab64a",
+     [ "299930a01de0ac39513e69462ade339d8ecbc42160685d80aebb44fadd424c20";
+       "923cf4253e272a41a9447693a82c1b1eacb14392a4ac6d7a8b76b9c03f8c3122" ]);
+    ("slow-cp", "d753e27fa35bc5e21ec2753f6d47069125f9f0d41a3aa425393f5d56a88cb1e6",
+     [ "1c593126b45db7da764173b29cee52b30ae34d8630052bfca2ca779d017677fe";
+       "45fdb0d9c6ee97ca58b5c90270926596ae7fb8021750bf545679e47ba1ebe364" ]);
+    ("malicious-cp", "2c2f94bf000472e0bd16bc99f511d7c4538350a737fae636042045ba5d3c3472",
+     [ "d07a29d12a90ae18067cf589699f9cab09018ca9666c10faafabaa811dd6266b";
+       "192d8fc5bbfb35e8d84856dfb061739638cd8f8fe905ca737922ce595824920e" ]);
+    ("restart", "d753e27fa35bc5e21ec2753f6d47069125f9f0d41a3aa425393f5d56a88cb1e6",
+     [ "299930a01de0ac39513e69462ade339d8ecbc42160685d80aebb44fadd424c20";
+       "78f9116f8e9fe083a7cbfe3437d866588c4365df9eb71cee1e73e7f9ad8bbdde" ]) ]
+
+let golden_deploy_cases =
+  List.map
+    (fun (name, digest, orders) ->
+      Alcotest.test_case ("golden " ^ name) `Quick (fun () ->
+          let o = Tormeasure.Deploy.run (deploy_cfg ~epochs:2 ()) (scenario name) in
+          Alcotest.(check string) "published digest" digest o.Tormeasure.Deploy.digest;
+          Alcotest.(check (list string)) "delivery order" orders
+            o.Tormeasure.Deploy.order_digests))
+    golden_deploys
+
 let () =
   Alcotest.run "bus"
     [
@@ -429,4 +462,5 @@ let () =
           Alcotest.test_case "churn = in-process bytes" `Quick
             test_deploy_churn_matches_reference;
         ] );
+      ("golden", golden_deploy_cases);
     ]

@@ -334,6 +334,45 @@ let test_permuted_insertion_order () =
   Alcotest.(check (float 0.0)) "estimate identical" forward.Protocol.estimate
     backward.Protocol.estimate
 
+(* --- golden published bytes --- *)
+
+(* The canonical result bytes of five fixed-seed rounds, pinned as
+   hex: verified, unverified, with a DP grant, and each tamper action.
+   They are the oracle that any change to how the round is orchestrated
+   must reproduce exactly. *)
+let golden_round ?(proof_rounds = Some 4) ?(verify = true) ?tamper ?dp () =
+  let cfg =
+    Protocol.config ~table_size:256 ~num_cps:3 ~noise_flips_per_cp:8 ~proof_rounds ~verify
+      ?tamper ?dp ()
+  in
+  let proto = Protocol.create cfg ~num_dcs:2 ~seed:7 in
+  for i = 0 to 59 do
+    Protocol.insert proto ~dc:(i mod 2) (Printf.sprintf "g%d" (i mod 45))
+  done;
+  let bytes = Wire.encode_result (Protocol.run proto) in
+  String.concat "" (List.init (String.length bytes) (fun i -> Printf.sprintf "%02x" (Char.code bytes.[i])))
+
+let golden_results =
+  [ ("verified", (fun () -> golden_round ()),
+     "2f184042c7f6c9c44414403d1800679fe76c4047a8e2aa89ec870100");
+    ("unverified", (fun () -> golden_round ~proof_rounds:None ~verify:false ()),
+     "331840451d502d7a036b404099f3c2b61d2c404a48fc960d62810100");
+    ("dp", (fun () -> golden_round ~dp:Dp.Mechanism.paper_params ()),
+     "2f184042c7f6c9c44414403d1800679fe76c4047a8e2aa89ec870100");
+    ("shuffle swap",
+     (fun () -> golden_round ~tamper:{ Protocol.tampered_cp = 1; action = `Shuffle_swap } ()),
+     "2f184042c7f6c9c44414403d1800679fe76c4047a8e2aa89ec87000101");
+    ("noise nonbit",
+     (fun () -> golden_round ~tamper:{ Protocol.tampered_cp = 2; action = `Noise_nonbit } ()),
+     "301840435c48131908b1403e2238fa0fc7b340484d3c76391ed0000102") ]
+
+let golden_cases =
+  List.map
+    (fun (name, run, expect) ->
+      Alcotest.test_case ("result bytes " ^ name) `Quick (fun () ->
+          Alcotest.(check string) name expect (run ())))
+    golden_results
+
 let () =
   Alcotest.run "psc"
     [
@@ -373,6 +412,7 @@ let () =
           Alcotest.test_case "bit rerandomization" `Quick test_cp_bit_rerandomization;
           Alcotest.test_case "combine size mismatch" `Quick test_combine_size_mismatch_rejected;
         ] );
+      ("golden", golden_cases);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_estimate_tracks_truth; prop_jobs_invariant; prop_jobs_invariant_tampered ] );
