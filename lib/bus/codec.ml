@@ -57,12 +57,16 @@ module R = struct
 
   let varint r =
     let rec go acc shift =
-      (* OCaml ints are 63-bit; more than nine 7-bit groups cannot be a
-         value we wrote, so treat it as malformed rather than overflow. *)
+      (* OCaml ints are 63-bit and the writer refuses negatives: more
+         than nine 7-bit groups, or a ninth group that sets the sign
+         bit, cannot be a value we wrote, so treat it as malformed
+         rather than hand a negative length to the caller. *)
       if shift > 62 then raise (Fail "varint overflow");
       let byte = u8 r in
       let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then acc else go acc (shift + 7)
+      if byte land 0x80 <> 0 then go acc (shift + 7)
+      else if acc < 0 then raise (Fail "varint overflow")
+      else acc
     in
     go 0 0
 

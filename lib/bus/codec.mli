@@ -45,6 +45,9 @@ module R : sig
 
   val u8 : t -> int
   val varint : t -> int
+  (** Never negative: an encoding that would overflow into the sign
+      bit fails the decode with [Invalid "varint overflow"]. *)
+
   val zint : t -> int
   val f64 : t -> float
   val bytes : t -> string

@@ -1,8 +1,9 @@
 (* The deploy driver owns everything the parties must not: the
    scenario interpretation (when to crash whom, which CP tampers, how
    many DCs exist this epoch) and the synthetic workload. Parties only
-   ever see envelopes; the driver only ever calls spawn/ingest/publish
-   entry points and the scheduler. *)
+   ever see messages; the driver only ever calls spawn/ingest/publish
+   entry points and the scheduler. The PSC parties are the ones
+   Psc.Protocol drives in process, placed on the bus by Psc.Node. *)
 
 type config = {
   seed : int;
@@ -113,8 +114,8 @@ type parties = {
   pc_ts : Privcount.Node.ts;
   pc_dcs : Privcount.Node.dc array;
   pc_sks : Privcount.Node.sk array;
-  psc_ts : Psc.Node.ts;
-  psc_dcs : Psc.Node.dc array;
+  psc_ts : Psc.Party.ts;
+  psc_dcs : Psc.Party.dc array;
 }
 
 let spawn_parties cfg (scenario : Bus.Scenario.t) ~epoch =
@@ -135,16 +136,16 @@ let spawn_parties cfg (scenario : Bus.Scenario.t) ~epoch =
       seed = eseed;
     }
   in
+  (* the malicious CP substitutes a ciphertext after shuffling and
+     keeps the honest proof *)
+  let tamper =
+    Option.map
+      (fun cp -> { Psc.Protocol.tampered_cp = cp; action = `Shuffle_swap })
+      (Bus.Scenario.malicious_cp scenario)
+  in
   let psc_cfg =
-    {
-      Psc.Node.table_size = cfg.table_size;
-      num_cps = cfg.num_cps;
-      num_dcs = live;
-      noise_flips_per_cp = cfg.noise_flips_per_cp;
-      proof_rounds = cfg.proof_rounds;
-      confidence = 0.95;
-      seed = eseed;
-    }
+    Psc.Protocol.config ~num_cps:cfg.num_cps ~noise_flips_per_cp:cfg.noise_flips_per_cp
+      ~proof_rounds:(Some cfg.proof_rounds) ?tamper ~table_size:cfg.table_size ()
   in
   let pc_ts = Privcount.Node.spawn_ts sched ~epoch pc_cfg in
   let pc_sks =
@@ -155,14 +156,14 @@ let spawn_parties cfg (scenario : Bus.Scenario.t) ~epoch =
     Array.of_list
       (tabulate live (fun id -> Privcount.Node.spawn_dc sched ~epoch pc_cfg ~id))
   in
-  let psc_ts = Psc.Node.spawn_ts sched ~epoch psc_cfg in
-  let malicious = Bus.Scenario.malicious_cp scenario in
+  let host addr spawn = Psc.Node.host sched ~epoch addr spawn in
+  let psc_ts = host Bus.Party.Ts (Psc.Party.ts psc_cfg ~num_dcs:live) in
   for id = 0 to cfg.num_cps - 1 do
-    Psc.Node.spawn_cp sched ~epoch psc_cfg ~id ~tamper:(malicious = Some id)
+    host (Bus.Party.Cp id) (Psc.Party.cp psc_cfg ~seed:eseed ~id)
   done;
   let psc_dcs =
     Array.of_list
-      (tabulate live (fun id -> Psc.Node.spawn_dc sched ~epoch psc_cfg ~id))
+      (tabulate live (fun id -> host (Bus.Party.Dc id) (Psc.Party.dc psc_cfg ~seed:eseed ~id)))
   in
   { sched; live; pc_ts; pc_dcs; pc_sks; psc_ts; psc_dcs }
 
@@ -252,26 +253,26 @@ let collect st ~epoch =
       let dead =
         match crash with Some d -> i >= it_half && dc = d | None -> false
       in
-      if not dead then Psc.Node.dc_insert p.psc_dcs.(dc) item)
+      if not dead then Psc.Party.dc_insert p.psc_dcs.(dc) item)
     wl.psc_items
 
 let aggregate st ~epoch =
   let p = cur st in
   let dcs = tabulate p.live Fun.id in
   Privcount.Node.ts_request_reports p.pc_ts ~epoch ~dcs;
-  Psc.Node.ts_request_tables p.psc_ts ~epoch ~dcs;
+  Psc.Party.ts_request_tables p.psc_ts ~dcs;
   ignore (Bus.Sched.run p.sched : Bus.Sched.stats);
   (* close with whatever arrived: missing DCs are excluded by the SKs
      (PrivCount dropout recovery) and absent from the PSC combine *)
   Privcount.Node.ts_close p.pc_ts ~epoch ~num_sks:st.cfg.num_sks;
-  Psc.Node.ts_start_aggregate p.psc_ts ~epoch;
+  Psc.Party.ts_start_aggregate p.psc_ts;
   ignore (Bus.Sched.run p.sched : Bus.Sched.stats)
 
 let publish st ~epoch =
   let p = cur st in
   let pc, pc_bytes = Privcount.Node.ts_publish p.pc_ts in
-  let psc, psc_bytes =
-    match Psc.Node.ts_result p.psc_ts with
+  let psc =
+    match Psc.Party.ts_result p.psc_ts with
     | Some r -> r
     | None -> invalid_arg "Deploy: PSC cascade did not complete"
   in
@@ -282,7 +283,7 @@ let publish st ~epoch =
     pc;
     pc_bytes;
     psc;
-    psc_bytes;
+    psc_bytes = Psc.Wire.encode_result psc;
     missing_dcs = Privcount.Node.ts_missing_dcs p.pc_ts;
   }
 
@@ -312,7 +313,7 @@ let restore st cp =
                 invalid_arg
                   ("Deploy.restore: PrivCount DC state: "
                   ^ Bus.Codec.error_to_string e));
-            (match Psc.Node.dc_load p.psc_dcs.(i) psc_blob with
+            (match Psc.Node.dc_load p.psc_dcs.(i) ~id:i psc_blob with
             | Ok () -> ()
             | Error e ->
                 invalid_arg
@@ -378,7 +379,10 @@ let run cfg (scenario : Bus.Scenario.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* In-process reference: same seeds, same workload, no bus. *)
+(* In-process reference: same seeds, same workload, no bus. The PSC
+   half runs the same parties unencoded and in FIFO order, so it checks
+   the codec round-trip and delivery-order independence; PrivCount's
+   in-process pipeline is still a separate implementation. *)
 
 let run_reference cfg (scenario : Bus.Scenario.t) =
   List.iter

@@ -8,7 +8,10 @@
     The central claim, locked in by the tests: for every
     [reference_comparable] scenario the concatenated published bytes
     equal {!run_reference} — the in-process pipelines at the same seed
-    and workload — byte for byte. *)
+    and workload — byte for byte. The PSC parties are shared with
+    {!Psc.Protocol}, so for PSC that comparison checks the wire codec
+    and delivery-order independence; golden digests in the tests pin
+    the bytes themselves. *)
 
 type config = {
   seed : int;

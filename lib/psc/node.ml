@@ -1,388 +1,24 @@
-(* Bus-hosted PSC parties. Per-CP DRBG draw order is the byte-identity
-   invariant: create (keygen), key proof, noise, shuffle, rerandomize,
-   decrypt — the cascade requests arrive in exactly that order, so each
-   CP's stream position matches the in-process pipeline step for step. *)
-
-type cfg = {
-  table_size : int;
-  num_cps : int;
-  num_dcs : int;
-  noise_flips_per_cp : int;
-  proof_rounds : int;
-  confidence : float;
-  seed : int;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Computation party *)
-
-let spawn_cp sched ~epoch cfg ~id ~tamper =
-  ignore epoch;
-  let cp = Cp.create ~id ~seed:cfg.seed in
-  let key_proof = Cp.key_proof cp in
-  (* lazily created on the joint key's arrival *)
-  let joint = ref None in
-  let tamper_drbg =
-    if tamper then Some (Crypto.Drbg.create "psc-tamper") else None
-  in
-  let joint_exn () =
-    match !joint with
-    | Some (j, tab) -> (j, tab)
-    | None -> invalid_arg "Node.cp: request before joint key"
-  in
-  Wire.post sched ~epoch ~src:(Bus.Party.Cp id) ~dst:Bus.Party.Ts
-    (Wire.Cp_key { pub = Cp.public_key cp; proof = key_proof });
-  Bus.Sched.register sched (Bus.Party.Cp id) (fun env ->
-      let epoch = env.Bus.Envelope.epoch in
-      let reply m = Wire.post sched ~epoch ~src:(Bus.Party.Cp id) ~dst:Bus.Party.Ts m in
+let host sched ~epoch self spawn =
+  let party = spawn (fun dst m -> Wire.post sched ~epoch ~src:self ~dst m) in
+  Bus.Sched.register sched self (fun env ->
       match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
-      | Ok (Wire.Joint { joint = j }) ->
-          joint := Some (j, Crypto.Group.precomp j);
+      | Ok m ->
+          party.Party.handle env.Bus.Envelope.src m;
           true
-      | Ok (Wire.Noise_request { flips }) ->
-          let j, tab = joint_exn () in
-          reply (Wire.Noise_slots (Cp.noise_slots_proven ~tab cp ~joint:j ~flips));
-          true
-      | Ok (Wire.Shuffle_request { vector; rounds }) ->
-          let j, tab = joint_exn () in
-          let output, proof = Cp.shuffle ~tab cp ~joint:j ~rounds:(Some rounds) vector in
-          let output =
-            match tamper_drbg with
-            | Some drbg when Array.length output > 0 ->
-                (* Byzantine: substitute a slot after shuffling, keep the
-                   honest proof — the verifier must catch the mismatch *)
-                let output = Array.copy output in
-                output.(0) <- Crypto.Elgamal.encrypt drbg j Crypto.Elgamal.marker;
-                output
-            | _ -> output
-          in
-          reply (Wire.Shuffled { output; proof });
-          true
-      | Ok (Wire.Rerand_request vector) ->
-          reply (Wire.Rerandomized (Cp.rerandomize_bits cp vector));
-          true
-      | Ok (Wire.Decrypt_request vector) ->
-          let share = Cp.decrypt_shares cp ~prove:true vector in
-          reply
-            (Wire.Decrypt_share
-               { shares = share.Cp.shares; proofs = share.Cp.proofs });
-          true
-      | Ok _ | Error _ -> false)
+      | Error _ -> false);
+  party.Party.state
 
-(* ------------------------------------------------------------------ *)
-(* Data collector *)
+let dc_state dc = Wire.encode (Wire.Table_submit (Table.slots (Party.dc_table dc)))
 
-type dc = {
-  dc_id : int;
-  dc_cfg : cfg;
-  mutable table : Table.t option;
-}
-
-let spawn_dc sched ~epoch cfg ~id =
-  ignore epoch;
-  let t = { dc_id = id; dc_cfg = cfg; table = None } in
-  Bus.Sched.register sched (Bus.Party.Dc id) (fun env ->
-      match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
-      | Ok (Wire.Joint { joint }) ->
-          (* same per-DC stream as the in-process round *)
-          let drbg = Crypto.Drbg.create (Printf.sprintf "psc-dc|%d|%d" cfg.seed id) in
-          let round_key =
-            Crypto.Sha256.digest (Printf.sprintf "psc-round-key|%d" cfg.seed)
-          in
-          t.table <-
-            Some
-              (Table.create ~table_size:cfg.table_size ~key:round_key ~joint ~drbg ());
-          true
-      | Ok Wire.Table_request ->
-          let table =
-            match t.table with
-            | Some tbl -> tbl
-            | None -> invalid_arg "Node.dc: table request before joint key"
-          in
-          Wire.post sched ~epoch:env.Bus.Envelope.epoch ~src:(Bus.Party.Dc id)
-            ~dst:Bus.Party.Ts
-            (Wire.Table_submit (Table.slots table));
-          true
-      | Ok _ | Error _ -> false);
-  t
-
-let dc_insert t item =
-  match t.table with
-  | Some table -> Table.insert table item
-  | None -> invalid_arg "Node.dc_insert: joint key not yet received"
-
-let dc_state t =
-  match t.table with
-  | Some table -> Wire.encode (Wire.Table_submit (Table.slots table))
-  | None -> invalid_arg "Node.dc_state: joint key not yet received"
-
-let dc_load t blob =
+let dc_load dc ~id blob =
   match Wire.decode ~kind:"psc.table" blob with
-  | Ok (Wire.Table_submit slots) -> (
-      match t.table with
-      | None -> Error (Bus.Codec.Invalid "restore before joint key")
-      | Some table ->
-          (match Table.load_slots table slots with
-          | () ->
-              Obs.Ledger.proof ~kind:"bus-restore-dc" ~party:t.dc_id ~ok:true
-                ~batch:(Array.length slots);
-              ignore t.dc_cfg
-          | exception Invalid_argument _ ->
-              Obs.Ledger.proof ~kind:"bus-restore-dc" ~party:t.dc_id ~ok:false
-                ~batch:(Array.length slots));
-          Ok ())
+  | Ok (Wire.Table_submit slots) ->
+      let ok =
+        match Table.load_slots (Party.dc_table dc) slots with
+        | () -> true
+        | exception Invalid_argument _ -> false
+      in
+      Obs.Ledger.proof ~kind:"bus-restore-dc" ~party:id ~ok ~batch:(Array.length slots);
+      Ok ()
   | Ok _ -> Error (Bus.Codec.Invalid "not a table blob")
   | Error e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Tally server / aggregator *)
-
-type stage =
-  | Keys
-  | Idle  (** joint key out; waiting for the driver *)
-  | Tables
-  | Noise
-  | Chain of { cp : int; vector : Crypto.Elgamal.ciphertext array }
-      (** [vector] is the chain input being verified against *)
-  | Decrypt of { vector : Crypto.Elgamal.ciphertext array }
-  | Done
-
-type ts = {
-  ts_sched : Bus.Sched.t;
-  ts_cfg : cfg;
-  mutable stage : stage;
-  mutable keys : (int * (Crypto.Elgamal.pub * Crypto.Sigma.schnorr_proof)) list;
-  mutable joint : Crypto.Elgamal.pub option;
-  mutable joint_tab : Crypto.Group.precomp option;
-  mutable pub_tabs : (int * Crypto.Group.precomp) list;
-      (* fixed-base table per CP public key, built once at joint-key
-         establishment and reused by decryption verification *)
-  mutable tables : (int * Crypto.Elgamal.ciphertext array) list;
-  mutable requested_tables : int list;
-  mutable noise : (int * (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array) list;
-  mutable dec_shares :
-    (int * (Crypto.Group.elt array * Crypto.Sigma.dleq_proof array option)) list;
-  mutable culprits : int list;
-  mutable result : (Protocol.result * string) option;
-}
-
-let blame t cp = if not (List.mem cp t.culprits) then t.culprits <- cp :: t.culprits
-
-let joint_exn t =
-  match (t.joint, t.joint_tab) with
-  | Some j, Some tab -> (j, tab)
-  | _ -> invalid_arg "Node.ts: joint key not established"
-
-(* all CP keys are in: verify in id order, broadcast the joint key *)
-let establish_joint t ~epoch =
-  let keys = List.sort compare t.keys in
-  List.iter
-    (fun (id, (pub, proof)) ->
-      let ok = Cp.verify_key_proof ~id ~pub proof in
-      Obs.Ledger.proof ~kind:"psc-key" ~party:id ~ok ~batch:1;
-      if not ok then
-        (* torlint: allow hygiene/failwith-in-lib — setup abort on a bad
-           CP key proof is the protocol-mandated response *)
-        failwith "Node.ts: CP key proof rejected")
-    keys;
-  let joint = Crypto.Elgamal.joint_pub (List.map (fun (_, (pub, _)) -> pub) keys) in
-  t.joint <- Some joint;
-  t.joint_tab <- Some (Crypto.Group.precomp joint);
-  t.pub_tabs <- List.map (fun (id, (pub, _)) -> (id, Crypto.Group.precomp pub)) keys;
-  t.stage <- Idle;
-  for dc = 0 to t.ts_cfg.num_dcs - 1 do
-    Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Dc dc)
-      (Wire.Joint { joint })
-  done;
-  for cp = 0 to t.ts_cfg.num_cps - 1 do
-    Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Cp cp)
-      (Wire.Joint { joint })
-  done
-
-(* every CP's noise is in: verify bit proofs in id order, build the
-   working vector, start the shuffle chain at CP 0 *)
-let start_chain t ~epoch =
-  let joint, tab = joint_exn t in
-  let combined =
-    Table.combine_vectors (List.map snd (List.sort compare t.tables))
-  in
-  let per_cp =
-    List.map
-      (fun (cp, proven) ->
-        (* one folded check per CP message rather than one per slot *)
-        let ok =
-          match Crypto.Bit_proof.verify_batch ~pk_tab:tab ~pk:joint proven with
-          | Crypto.Batch_verify.Accepted -> true
-          | Crypto.Batch_verify.Rejected _ -> false
-        in
-        Obs.Ledger.proof ~kind:"psc-noise-bit" ~party:cp ~ok
-          ~batch:(Array.length proven);
-        if not ok then blame t cp;
-        Array.map fst proven)
-      (List.sort compare t.noise)
-  in
-  let vector = Array.concat (combined :: per_cp) in
-  t.stage <- Chain { cp = 0; vector };
-  Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Cp 0)
-    (Wire.Shuffle_request { vector; rounds = t.ts_cfg.proof_rounds })
-
-(* every decryption share is in: verify in id order, combine, estimate *)
-let finish t vector =
-  let joint, _ = joint_exn t in
-  ignore joint;
-  let shares = List.sort compare t.dec_shares in
-  List.iter
-    (fun (cp, (share_vec, proofs)) ->
-      let pub =
-        match List.assoc_opt cp t.keys with
-        | Some (pub, _) -> pub
-        | None -> invalid_arg "Node.ts: share from unknown CP"
-      in
-      let ok =
-        Cp.verify_decryption ?pub_tab:(List.assoc_opt cp t.pub_tabs) ~pub ~vector
-          { Cp.cp_id = cp; shares = share_vec; proofs }
-      in
-      Obs.Ledger.proof ~kind:"psc-decrypt" ~party:cp ~ok ~batch:(Array.length vector);
-      if not ok then blame t cp)
-    shares;
-  let share_arr = Array.of_list (List.map (fun (_, (s, _)) -> s) shares) in
-  let plains =
-    Crypto.Elgamal.combine_partial_all vector ~parties:(Array.length share_arr)
-      ~share:(fun p i -> share_arr.(p).(i))
-  in
-  let raw_nonzero = ref 0 in
-  Array.iter
-    (fun plain ->
-      if not (Crypto.Elgamal.is_identity_plaintext plain) then incr raw_nonzero)
-    plains;
-  let total_flips = t.ts_cfg.noise_flips_per_cp * t.ts_cfg.num_cps in
-  let estimate, ci =
-    Protocol.estimate_of ~table_size:t.ts_cfg.table_size
-      ~confidence:t.ts_cfg.confidence ~raw_nonzero:!raw_nonzero ~total_flips
-  in
-  let res =
-    {
-      Protocol.raw_nonzero = !raw_nonzero;
-      total_flips;
-      estimate;
-      ci;
-      proofs_ok = t.culprits = [];
-      culprits = List.sort compare t.culprits;
-    }
-  in
-  t.stage <- Done;
-  t.result <- Some (res, Wire.encode_result res)
-
-let spawn_ts sched ~epoch cfg =
-  ignore epoch;
-  let t =
-    {
-      ts_sched = sched;
-      ts_cfg = cfg;
-      stage = Keys;
-      keys = [];
-      joint = None;
-      joint_tab = None;
-      pub_tabs = [];
-      tables = [];
-      requested_tables = [];
-      noise = [];
-      dec_shares = [];
-      culprits = [];
-      result = None;
-    }
-  in
-  Bus.Sched.register sched Bus.Party.Ts (fun env ->
-      let epoch = env.Bus.Envelope.epoch in
-      let src_cp () =
-        match env.Bus.Envelope.src with
-        | Bus.Party.Cp cp -> cp
-        | p ->
-            invalid_arg
-              (Printf.sprintf "Node.ts: CP message from %s" (Bus.Party.to_string p))
-      in
-      match Wire.decode ~kind:env.Bus.Envelope.kind env.Bus.Envelope.body with
-      | Ok (Wire.Cp_key { pub; proof }) ->
-          let cp = src_cp () in
-          t.keys <- (cp, (pub, proof)) :: t.keys;
-          if List.length t.keys = t.ts_cfg.num_cps then establish_joint t ~epoch;
-          true
-      | Ok (Wire.Table_submit slots) ->
-          (match env.Bus.Envelope.src with
-          | Bus.Party.Dc dc -> t.tables <- (dc, slots) :: t.tables
-          | _ -> invalid_arg "Node.ts: table from non-DC");
-          true
-      | Ok (Wire.Noise_slots proven) ->
-          let cp = src_cp () in
-          t.noise <- (cp, proven) :: t.noise;
-          if List.length t.noise = t.ts_cfg.num_cps then start_chain t ~epoch;
-          true
-      | Ok (Wire.Shuffled { output; proof }) -> (
-          let cp = src_cp () in
-          match t.stage with
-          | Chain { cp = expect; vector } when cp = expect ->
-              (match proof with
-              | Some proof ->
-                  let joint, tab = joint_exn t in
-                  let ok =
-                    Crypto.Shuffle.verify ~tab joint ~input:vector ~output proof
-                  in
-                  Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok
-                    ~batch:(Array.length vector);
-                  if not ok then blame t cp
-              | None ->
-                  (* asked for a proof, produced none: fails outright *)
-                  Obs.Ledger.proof ~kind:"psc-shuffle" ~party:cp ~ok:false ~batch:0;
-                  blame t cp);
-              Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Cp cp)
-                (Wire.Rerand_request output);
-              true
-          | _ -> invalid_arg "Node.ts: unexpected shuffle output")
-      | Ok (Wire.Rerandomized vector) -> (
-          let cp = src_cp () in
-          match t.stage with
-          | Chain { cp = expect; _ } when cp = expect ->
-              if cp + 1 < t.ts_cfg.num_cps then begin
-                t.stage <- Chain { cp = cp + 1; vector };
-                Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts
-                  ~dst:(Bus.Party.Cp (cp + 1))
-                  (Wire.Shuffle_request { vector; rounds = t.ts_cfg.proof_rounds })
-              end
-              else begin
-                t.stage <- Decrypt { vector };
-                for c = 0 to t.ts_cfg.num_cps - 1 do
-                  Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Cp c)
-                    (Wire.Decrypt_request vector)
-                done
-              end;
-              true
-          | _ -> invalid_arg "Node.ts: unexpected rerandomized vector")
-      | Ok (Wire.Decrypt_share { shares; proofs }) -> (
-          let cp = src_cp () in
-          match t.stage with
-          | Decrypt { vector } ->
-              t.dec_shares <- (cp, (shares, proofs)) :: t.dec_shares;
-              if List.length t.dec_shares = t.ts_cfg.num_cps then finish t vector;
-              true
-          | _ -> invalid_arg "Node.ts: unexpected decryption share")
-      | Ok _ | Error _ -> false);
-  t
-
-let ts_request_tables t ~epoch ~dcs =
-  t.requested_tables <- List.sort_uniq compare (t.requested_tables @ dcs);
-  t.stage <- Tables;
-  List.iter
-    (fun dc ->
-      Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Dc dc)
-        Wire.Table_request)
-    dcs
-
-let ts_start_aggregate t ~epoch =
-  if t.tables = [] then invalid_arg "Node.ts_start_aggregate: no tables";
-  t.stage <- Noise;
-  for cp = 0 to t.ts_cfg.num_cps - 1 do
-    Wire.post t.ts_sched ~epoch ~src:Bus.Party.Ts ~dst:(Bus.Party.Cp cp)
-      (Wire.Noise_request { flips = t.ts_cfg.noise_flips_per_cp })
-  done
-
-let ts_result t = t.result

@@ -1,66 +1,23 @@
-(** Bus-hosted PSC parties. The CPs publish keys at spawn; once every
-    key has arrived the TS verifies them, broadcasts the joint key, and
-    the DCs build their oblivious tables. Aggregation is one
-    message-driven cascade — noise with bit proofs, then the per-CP
-    shuffle → verify → rerandomize chain, then joint verifiable
-    decryption — ending in a published estimate byte-identical to the
-    in-process {!Protocol.run} at the same seed, config and inserts.
+(** The bus transport for the PSC parties: {!host} places a {!Party}
+    on {!Bus.Sched}, encoding what it sends ({!Wire.post}) and decoding
+    what is delivered to it ({!Wire.decode}). The parties are the ones
+    {!Protocol.run} drives in process, so a bus round at the same
+    config, seed and inserts publishes the same bytes; only the
+    transport differs.
 
-    A misbehaving CP (tampered shuffle with a reused proof) is detected
-    exactly as in-process: the TS rejects the proof, records the failed
-    [psc-shuffle] ledger event and lists the CP as a culprit. *)
+    A misbehaving CP (a [config.tamper]) is detected as in process:
+    the TS rejects its proof, records the failed ledger proof and lists
+    the CP as a culprit. *)
 
-type cfg = {
-  table_size : int;
-  num_cps : int;
-  num_dcs : int;  (** the epoch's full deployment size *)
-  noise_flips_per_cp : int;
-  proof_rounds : int;  (** always proven on the bus *)
-  confidence : float;
-  seed : int;
-}
+val host :
+  Bus.Sched.t -> epoch:int -> Bus.Party.t -> (Party.send -> 'a Party.t) -> 'a
+(** [host sched ~epoch addr spawn] spawns the party at [addr], sending
+    in [epoch], registers its handler, and returns its state. The
+    handler claims every message with a PSC kind that decodes. *)
 
-(** {2 Computation party} *)
-
-val spawn_cp : Bus.Sched.t -> epoch:int -> cfg -> id:int -> tamper:bool -> unit
-(** Create the CP (same DRBG stream as the in-process path: keygen,
-    key proof, then noise/shuffle/rerandomize/decrypt draws in cascade
-    order), post its key, and register the cascade handlers. With
-    [tamper], the CP substitutes a ciphertext after shuffling while
-    keeping the honest proof — the malicious-CP scenario. *)
-
-(** {2 Data collector} *)
-
-type dc
-
-val spawn_dc : Bus.Sched.t -> epoch:int -> cfg -> id:int -> dc
-(** The table is built when the joint key arrives — run the scheduler
-    to quiescence after setup before inserting. *)
-
-val dc_insert : dc -> string -> unit
-(** Local observation (raises if the joint key has not arrived yet). *)
-
-val dc_state : dc -> string
+val dc_state : Party.dc -> string
 (** Checkpoint blob: the table's encrypted slots. *)
 
-val dc_load : dc -> string -> (unit, Bus.Codec.error) result
+val dc_load : Party.dc -> id:int -> string -> (unit, Bus.Codec.error) result
 (** Restore the table slots from a checkpoint blob; records a
-    [bus-restore-dc] ledger proof. *)
-
-(** {2 Tally server / aggregator} *)
-
-type ts
-
-val spawn_ts : Bus.Sched.t -> epoch:int -> cfg -> ts
-
-val ts_request_tables : ts -> epoch:int -> dcs:int list -> unit
-(** Ask each listed DC for its table (crashed DCs never answer). Run
-    the scheduler before starting the aggregate. *)
-
-val ts_start_aggregate : ts -> epoch:int -> unit
-(** Post the noise requests; the rest of the cascade is message-driven
-    and completes within the next scheduler run. *)
-
-val ts_result : ts -> (Protocol.result * string) option
-(** The published estimate and its canonical bytes
-    ({!Wire.encode_result}), once the cascade has finished. *)
+    [bus-restore-dc] ledger proof for DC [id]. *)

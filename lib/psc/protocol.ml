@@ -1,41 +1,15 @@
-type tamper = { tampered_cp : int; action : [ `Shuffle_swap | `Noise_nonbit ] }
+(* The in-process driver: the {!Party} set on a FIFO of typed messages,
+   delivered unencoded until none are left. Only the simulator-side
+   ground truth lives here. *)
 
-type config = {
-  table_size : int;
-  num_cps : int;
-  noise_flips_per_cp : int;
-  proof_rounds : int option;
-  verify : bool;
-  confidence : float;
-  tamper : tamper option;
-      (* fault injection for tests: make one CP misbehave and check the
-         proofs identify it *)
-  dp : Dp.Mechanism.params option;
-      (* the (eps, delta) the noise was calibrated for; recorded as a
-         budget grant + draw in the run ledger when present *)
-}
-
-let config ?(num_cps = 3) ?(noise_flips_per_cp = 64) ?(proof_rounds = Some 8) ?(verify = true)
-    ?(confidence = 0.95) ?tamper ?dp ~table_size () =
-  if table_size <= 0 then invalid_arg "Protocol.config: table_size must be positive";
-  if num_cps < 1 then invalid_arg "Protocol.config: need at least one CP";
-  if noise_flips_per_cp < 0 then invalid_arg "Protocol.config: negative flips";
-  { table_size; num_cps; noise_flips_per_cp; proof_rounds; verify; confidence; tamper; dp }
-
-let flips_for_params params ~sensitivity ~num_cps =
-  let total = Dp.Mechanism.binomial_n_for params ~sensitivity in
-  (total + num_cps - 1) / num_cps
+include Round
 
 type t = {
   cfg : config;
-  cps : Cp.t array;
-  joint : Crypto.Elgamal.pub;
-  joint_tab : Crypto.Group.precomp; (* fixed-base table for [joint], built once per round *)
-  cp_pub_tabs : Crypto.Group.precomp array;
-      (* fixed-base table per CP public key, built once per round and
-         reused by every verification touching that key *)
+  ts : Party.ts;
+  dcs : Party.dc array;
+  drain : unit -> unit;
   round_key : string;
-  tables : Table.t array;
   (* simulator-side ground truth of inserted items, for diagnostics *)
   inserted : (string, unit) Hashtbl.t array;
   mutable finished : bool;
@@ -43,44 +17,41 @@ type t = {
 
 let create cfg ~num_dcs ~seed =
   if num_dcs < 1 then invalid_arg "Protocol.create: need at least one DC";
-  let cps = Array.init cfg.num_cps (fun id -> Cp.create ~id ~seed) in
-  (* CPs publish keys with proofs of knowledge; the TS checks them. *)
-  Array.iter
-    (fun cp ->
-      let proof = Cp.key_proof cp in
-      let ok = Cp.verify_key_proof ~id:(Cp.id cp) ~pub:(Cp.public_key cp) proof in
-      Obs.Ledger.proof ~kind:"psc-key" ~party:(Cp.id cp) ~ok ~batch:1;
-      if not ok then
-        (* torlint: allow hygiene/failwith-in-lib — setup abort on a bad
-           CP key proof is the protocol-mandated response *)
-        failwith "Protocol.create: CP key proof rejected")
-    cps;
-  let joint = Crypto.Elgamal.joint_pub (Array.to_list (Array.map Cp.public_key cps)) in
-  let joint_tab = Crypto.Group.precomp joint in
-  let cp_pub_tabs = Array.map (fun cp -> Crypto.Group.precomp (Cp.public_key cp)) cps in
-  let round_key = Crypto.Sha256.digest (Printf.sprintf "psc-round-key|%d" seed) in
-  let tables =
-    Array.init num_dcs (fun dc ->
-        let drbg = Crypto.Drbg.create (Printf.sprintf "psc-dc|%d|%d" seed dc) in
-        Table.create ~tab:joint_tab ~table_size:cfg.table_size ~key:round_key ~joint ~drbg ())
+  let fifo = Queue.create () in
+  let send src dst m = Queue.add (src, dst, m) fifo in
+  let ts = Party.ts cfg ~num_dcs (send Bus.Party.Ts) in
+  let cps = Array.init cfg.num_cps (fun id -> Party.cp cfg ~seed ~id (send (Bus.Party.Cp id))) in
+  let dcs = Array.init num_dcs (fun id -> Party.dc cfg ~seed ~id (send (Bus.Party.Dc id))) in
+  let drain () =
+    while not (Queue.is_empty fifo) do
+      let src, dst, m = Queue.take fifo in
+      let handle =
+        match dst with
+        | Bus.Party.Ts -> ts.Party.handle
+        | Bus.Party.Cp i -> cps.(i).Party.handle
+        | Bus.Party.Dc i -> dcs.(i).Party.handle
+        | Bus.Party.Sk _ -> invalid_arg "Protocol: a PSC round has no SK"
+      in
+      handle src m
+    done
   in
+  (* key exchange: the TS checks the CP keys, the DCs build tables *)
+  drain ();
   {
     cfg;
-    cps;
-    joint;
-    joint_tab;
-    cp_pub_tabs;
-    round_key;
-    tables;
+    ts = ts.Party.state;
+    dcs = Array.map (fun dc -> dc.Party.state) dcs;
+    drain;
+    round_key = Round.round_key ~seed;
     inserted = Array.init num_dcs (fun _ -> Hashtbl.create 256);
     finished = false;
   }
 
 let insert t ~dc item =
   if t.finished then invalid_arg "Protocol.insert: round already run";
-  if dc < 0 || dc >= Array.length t.tables then invalid_arg "Protocol.insert: bad dc";
+  if dc < 0 || dc >= Array.length t.dcs then invalid_arg "Protocol.insert: bad dc";
   Obs.Metrics.inc "psc_inserts_total";
-  Table.insert t.tables.(dc) item;
+  Party.dc_insert t.dcs.(dc) item;
   if not (Hashtbl.mem t.inserted.(dc) item) then Hashtbl.replace t.inserted.(dc) item ()
 
 let true_union_size t =
@@ -110,29 +81,6 @@ let occupied_slot_count t tables =
 
 let inserted_slots t ~dc = occupied_slot_count t [| t.inserted.(dc) |]
 
-type result = {
-  raw_nonzero : int;
-  total_flips : int;
-  estimate : float;
-  ci : Stats.Ci.t;
-  proofs_ok : bool;
-  culprits : int list;
-}
-
-(* Estimator, shared with the bus deployment: subtract the binomial
-   noise mean, invert the occupancy bias, attach the exact interval. *)
-let estimate_of ~table_size ~confidence ~raw_nonzero ~total_flips =
-  let occupied = float_of_int raw_nonzero -. (float_of_int total_flips /. 2.0) in
-  let estimate =
-    Stats.Ci.invert_occupancy ~table_size
-      (max 0.0 (min occupied (float_of_int table_size -. 1.0)))
-  in
-  let ci =
-    Stats.Ci.binomial_exact ~confidence ~observed:raw_nonzero ~flips:total_flips
-      ~table_size ()
-  in
-  (estimate, ci)
-
 (* Telemetry on the table state at round close: occupancy and the hash
    collision rate the estimator has to invert (computed from simulator
    ground truth, only when telemetry is on). *)
@@ -151,159 +99,24 @@ let record_table_metrics t =
 let run t =
   if t.finished then invalid_arg "Protocol.run: round already run";
   record_table_metrics t;
-  (* Worker count for this round; all parallel phases below run on the
-     same pool. Worker-side Obs calls buffer into per-chunk scopes and
-     merge back in index order, so the ledger and spans are the same at
-     any pool size. *)
+  (* Worker count for this round; every parallel phase runs on the same
+     pool. Worker-side Obs calls buffer into per-chunk scopes and merge
+     back in index order, so the ledger and spans are the same at any
+     pool size. *)
   let jobs = Parallel.jobs () in
-  let jobs_attr = ("jobs", string_of_int jobs) in
   Obs.Metrics.set "psc_parallel_jobs" (float_of_int jobs);
   Obs.Ledger.phase "psc.run"
     ~attrs:
       [ ("table_size", string_of_int t.cfg.table_size);
-        ("cps", string_of_int (Array.length t.cps));
-        ("dcs", string_of_int (Array.length t.tables));
-        jobs_attr ]
+        ("cps", string_of_int t.cfg.num_cps);
+        ("dcs", string_of_int (Array.length t.dcs));
+        ("jobs", string_of_int jobs) ]
   @@ fun () ->
   t.finished <- true;
-  (match t.cfg.dp with
-  | Some p ->
-    Obs.Ledger.grant ~system:"psc" ~epsilon:p.Dp.Mechanism.epsilon ~delta:p.Dp.Mechanism.delta;
-    Obs.Ledger.draw ~system:"psc" ~counter:"cardinality" ~mechanism:"binomial"
-      ~epsilon:p.Dp.Mechanism.epsilon ~delta:p.Dp.Mechanism.delta
-  | None -> ());
-  let culprits = ref [] in
-  let blame cp_id = if not (List.mem cp_id !culprits) then culprits := cp_id :: !culprits in
-  let tampering cp action =
-    match t.cfg.tamper with
-    | Some { tampered_cp; action = a } -> tampered_cp = Cp.id cp && a = action
-    | None -> false
-  in
-  (* 1. combine the DCs' tables into the encrypted union *)
-  let combined =
-    Obs.Ledger.phase "psc.combine" ~attrs:[ jobs_attr ] (fun () ->
-        Table.combine (Array.to_list t.tables))
-  in
-  (* 2. every CP appends its encrypted noise bits; with verification on,
-     each slot carries a disjunctive bit-validity proof checked here *)
-  let tamper_drbg = Crypto.Drbg.create "psc-tamper" in
-  let with_noise =
-    Obs.Ledger.phase "psc.noise"
-      ~attrs:[ ("flips_per_cp", string_of_int t.cfg.noise_flips_per_cp); jobs_attr ]
-    @@ fun () ->
-    let per_cp =
-      Array.map
-        (fun cp ->
-          if t.cfg.verify then begin
-            let proven =
-              Cp.noise_slots_proven ~tab:t.joint_tab cp ~joint:t.joint
-                ~flips:t.cfg.noise_flips_per_cp
-            in
-            let proven =
-              if tampering cp `Noise_nonbit && Array.length proven > 0 then begin
-                (* a Byzantine CP injects Enc(marker^2) as "noise" with a
-                   forged bit proof *)
-                let r = Crypto.Group.random_exp tamper_drbg in
-                let bad =
-                  Crypto.Elgamal.encrypt_with ~r t.joint
-                    (Crypto.Group.mul Crypto.Elgamal.marker Crypto.Elgamal.marker)
-                in
-                let forged = Crypto.Bit_proof.prove tamper_drbg ~pk:t.joint ~r ~bit:true bad in
-                proven.(0) <- (bad, forged);
-                proven
-              end
-              else proven
-            in
-            let ok =
-              match Crypto.Bit_proof.verify_batch ~pk_tab:t.joint_tab ~pk:t.joint proven with
-              | Crypto.Batch_verify.Accepted -> true
-              | Crypto.Batch_verify.Rejected _ -> false
-            in
-            Obs.Ledger.proof ~kind:"psc-noise-bit" ~party:(Cp.id cp) ~ok
-              ~batch:(Array.length proven);
-            if not ok then blame (Cp.id cp);
-            Array.map fst proven
-          end
-          else Cp.noise_slots ~tab:t.joint_tab cp ~joint:t.joint ~flips:t.cfg.noise_flips_per_cp)
-        t.cps
-    in
-    (* single allocation + blits; the old fold re-copied the whole
-       vector once per CP *)
-    Array.concat (combined :: Array.to_list per_cp)
-  in
-  let total_flips = t.cfg.noise_flips_per_cp * Array.length t.cps in
-  (* 3. shuffle/rerandomize pipeline, one pass per CP, proofs checked *)
-  let shuffled =
-    Array.fold_left
-      (fun vector cp ->
-        let cp_attr = [ ("cp", string_of_int (Cp.id cp)); jobs_attr ] in
-        let output, proof =
-          Obs.Ledger.phase "psc.shuffle" ~attrs:cp_attr (fun () ->
-              Cp.shuffle ~tab:t.joint_tab cp ~joint:t.joint ~rounds:t.cfg.proof_rounds vector)
-        in
-        let output =
-          if tampering cp `Shuffle_swap && Array.length output > 0 then begin
-            (* a Byzantine CP substitutes a slot mid-shuffle *)
-            let output = Array.copy output in
-            output.(0) <- Crypto.Elgamal.encrypt tamper_drbg t.joint Crypto.Elgamal.marker;
-            output
-          end
-          else output
-        in
-        (match (t.cfg.verify, proof) with
-        | true, Some proof ->
-          let ok = Crypto.Shuffle.verify ~tab:t.joint_tab t.joint ~input:vector ~output proof in
-          Obs.Ledger.proof ~kind:"psc-shuffle" ~party:(Cp.id cp) ~ok
-            ~batch:(Array.length vector);
-          if not ok then blame (Cp.id cp)
-        | true, None when t.cfg.proof_rounds <> None ->
-          (* a CP that was asked for a proof and produced none fails
-             verification outright *)
-          Obs.Ledger.proof ~kind:"psc-shuffle" ~party:(Cp.id cp) ~ok:false ~batch:0;
-          blame (Cp.id cp)
-        | _ -> ());
-        Obs.Ledger.phase "psc.rerandomize" ~attrs:cp_attr (fun () ->
-            Cp.rerandomize_bits cp output))
-      with_noise t.cps
-  in
-  (* 4. joint verifiable decryption *)
-  let raw_nonzero = ref 0 in
-  Obs.Ledger.phase "psc.decrypt" ~attrs:[ jobs_attr ] (fun () ->
-      let shares =
-        Array.map (fun cp -> Cp.decrypt_shares cp ~prove:t.cfg.verify shuffled) t.cps
-      in
-      if t.cfg.verify then
-        Array.iteri
-          (fun i cp ->
-            let ok =
-              Cp.verify_decryption ~pub_tab:t.cp_pub_tabs.(i) ~pub:(Cp.public_key cp)
-                ~vector:shuffled shares.(i)
-            in
-            Obs.Ledger.proof ~kind:"psc-decrypt" ~party:(Cp.id cp) ~ok
-              ~batch:(Array.length shuffled);
-            if not ok then blame (Cp.id cp))
-          t.cps;
-      let plains =
-        Crypto.Elgamal.combine_partial_all shuffled ~parties:(Array.length shares)
-          ~share:(fun p i -> shares.(p).Cp.shares.(i))
-      in
-      Array.iter
-        (fun plain ->
-          if not (Crypto.Elgamal.is_identity_plaintext plain) then incr raw_nonzero)
-        plains);
-  (* 5. estimate: subtract the noise mean, invert the occupancy bias *)
-  let estimate, ci =
-    Obs.Ledger.phase "psc.estimate" @@ fun () ->
-    estimate_of ~table_size:t.cfg.table_size ~confidence:t.cfg.confidence
-      ~raw_nonzero:!raw_nonzero ~total_flips
-  in
-  Obs.Metrics.set "psc_raw_nonzero_slots" (float_of_int !raw_nonzero);
-  Obs.Metrics.set "psc_noise_flips" (float_of_int total_flips);
-  {
-    raw_nonzero = !raw_nonzero;
-    total_flips;
-    estimate;
-    ci;
-    proofs_ok = !culprits = [];
-    culprits = List.sort compare !culprits;
-  }
+  Party.ts_request_tables t.ts ~dcs:(List.init (Array.length t.dcs) Fun.id);
+  t.drain ();
+  Party.ts_start_aggregate t.ts;
+  t.drain ();
+  match Party.ts_result t.ts with
+  | Some result -> result
+  | None -> invalid_arg "Protocol.run: the round did not complete"

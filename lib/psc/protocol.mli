@@ -1,43 +1,26 @@
 (** The full PSC protocol (Fenske et al. CCS'17, with the paper's TS
-    coordinator): data collectors maintain oblivious tables of encrypted
-    bits; computation parties add binomial noise, shuffle, rerandomize
-    and jointly decrypt; the output is |union of the DCs' item sets|
-    plus known binomial noise, corrected for hash collisions. *)
+    coordinator), run in process: data collectors maintain oblivious
+    tables of encrypted bits; computation parties add binomial noise,
+    shuffle, rerandomize and jointly decrypt; the output is |union of
+    the DCs' item sets| plus known binomial noise, corrected for hash
+    collisions.
 
-type tamper = {
-  tampered_cp : int;
-  action : [ `Shuffle_swap | `Noise_nonbit ];
-}
-(** Fault injection: make one CP misbehave (substitute a ciphertext
-    mid-shuffle, or inject a non-bit "noise" slot with a forged proof)
-    so tests can check the proofs identify the culprit. *)
+    This module is a driver. {!create} spawns the {!Party} set — the
+    same CPs, DCs and TS that {!Node} hosts on the bus — on an
+    in-memory FIFO of typed {!Wire} messages, never encoded, and
+    delivers them until none are left. What stays here is the
+    simulator's ground truth, which no protocol party may see. *)
 
-type config = {
-  table_size : int;
-  num_cps : int;
-  noise_flips_per_cp : int;
-  proof_rounds : int option;
-      (** shuffle-proof soundness rounds; [None] disables proofs for
-          large throughput runs (tests keep them on) *)
-  verify : bool;  (** verify noise, shuffle and decryption proofs *)
-  confidence : float;
-  tamper : tamper option;
-  dp : Dp.Mechanism.params option;
-      (** the (ε,δ) the configured noise was calibrated for; recorded
-          as a budget grant + draw in the run ledger when present *)
-}
-
-val config :
-  ?num_cps:int -> ?noise_flips_per_cp:int -> ?proof_rounds:int option ->
-  ?verify:bool -> ?confidence:float -> ?tamper:tamper -> ?dp:Dp.Mechanism.params ->
-  table_size:int -> unit -> config
-
-val flips_for_params : Dp.Mechanism.params -> sensitivity:float -> num_cps:int -> int
-(** Per-CP flips so the total binomial noise gives (ε,δ)-DP. *)
+include module type of struct
+  include Round
+end
+(** The round's config and result types, shared with the parties. *)
 
 type t
 
 val create : config -> num_dcs:int -> seed:int -> t
+(** Spawn the parties and run the key exchange: the TS checks the CPs'
+    key proofs ([psc-key] ledger rows) and the DCs build their tables. *)
 
 val insert : t -> dc:int -> string -> unit
 (** Record an item at a data collector (e.g. a client IP at a guard). *)
@@ -51,23 +34,7 @@ val inserted_slots : t -> dc:int -> int
     (computed from plaintext knowledge in the simulator; not part of
     the protocol). *)
 
-type result = {
-  raw_nonzero : int;       (** decrypted non-identity slots *)
-  total_flips : int;
-  estimate : float;        (** collision- and noise-corrected cardinality *)
-  ci : Stats.Ci.t;         (** 95% CI on the true cardinality *)
-  proofs_ok : bool;        (** all noise/shuffle/decryption proofs verified *)
-  culprits : int list;     (** CPs whose proofs failed, for blame/abort *)
-}
-
 val run : t -> result
-(** Execute the pipeline and produce the cardinality estimate.
-    Callable once. *)
-
-val estimate_of :
-  table_size:int -> confidence:float -> raw_nonzero:int -> total_flips:int ->
-  float * Stats.Ci.t
-(** The estimator alone: noise-mean subtraction, occupancy-bias
-    inversion and the exact interval for a decrypted non-identity
-    count. Exported so the bus deployment publishes exactly what the
-    in-process pipeline would. *)
+(** Collect every DC's table, run the aggregation cascade and return
+    the cardinality estimate, inside a [psc.run] ledger phase. Callable
+    once. *)

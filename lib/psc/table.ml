@@ -13,8 +13,8 @@ type t = {
   drbg : Crypto.Drbg.t;
 }
 
-let create ?tab ~table_size ~key ~joint ~drbg () =
-  let tab = match tab with Some t -> t | None -> Crypto.Group.precomp joint in
+let create ~table_size ~key ~joint ~drbg () =
+  let tab = Crypto.Group.precomp joint in
   (* Sequential prepass draws the per-slot randomness in slot order as
      one bulk DRBG read; the encryptions themselves are pure and run on
      the domain pool. *)
@@ -43,7 +43,7 @@ let load_slots t slots =
    prime order q, and at most a few hundred DCs multiply in, so the
    product can never cycle back to the identity). This computes the
    encrypted union. *)
-let combine_vectors vectors =
+let combine vectors =
   match vectors with
   | [] -> invalid_arg "Table.combine: no tables"
   | first :: rest ->
@@ -53,5 +53,3 @@ let combine_vectors vectors =
       rest;
     Parallel.parallel_init n (fun i ->
         List.fold_left (fun acc v -> Crypto.Elgamal.mul acc v.(i)) first.(i) rest)
-
-let combine tables = combine_vectors (List.map (fun t -> t.slots) tables)

@@ -7,10 +7,7 @@
 type t
 
 val create :
-  ?tab:Crypto.Group.precomp ->
   table_size:int -> key:string -> joint:Crypto.Elgamal.pub -> drbg:Crypto.Drbg.t -> unit -> t
-(** [?tab] is a fixed-base table for [joint], shared across the DCs'
-    tables by the caller; built locally when absent. *)
 
 val size : t -> int
 val insert : t -> string -> unit
@@ -23,10 +20,6 @@ val load_slots : t -> Crypto.Elgamal.ciphertext array -> unit
 (** Overwrite the slots with a checkpointed vector of the same size;
     raises [Invalid_argument] on a length mismatch. *)
 
-val combine : t list -> Crypto.Elgamal.ciphertext array
-(** Slot-wise homomorphic OR across DCs: the encrypted union. *)
-
-val combine_vectors :
-  Crypto.Elgamal.ciphertext array list -> Crypto.Elgamal.ciphertext array
-(** {!combine} over already-extracted slot vectors (the form an
-    aggregator holds after receiving table submissions as messages). *)
+val combine : Crypto.Elgamal.ciphertext array list -> Crypto.Elgamal.ciphertext array
+(** Slot-wise homomorphic OR across the DCs' submitted slot vectors:
+    the encrypted union. *)

@@ -7,7 +7,8 @@ type msg =
   | Table_submit of Crypto.Elgamal.ciphertext array
   | Noise_request of { flips : int }
   | Noise_slots of (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array
-  | Shuffle_request of { vector : Crypto.Elgamal.ciphertext array; rounds : int }
+  | Noise_plain of Crypto.Elgamal.ciphertext array
+  | Shuffle_request of { vector : Crypto.Elgamal.ciphertext array; rounds : int option }
   | Shuffled of {
       output : Crypto.Elgamal.ciphertext array;
       proof : Crypto.Shuffle.proof option;
@@ -27,6 +28,7 @@ let kind = function
   | Table_submit _ -> "psc.table"
   | Noise_request _ -> "psc.noise_req"
   | Noise_slots _ -> "psc.noise"
+  | Noise_plain _ -> "psc.noise_plain"
   | Shuffle_request _ -> "psc.shuffle_req"
   | Shuffled _ -> "psc.shuffled"
   | Rerand_request _ -> "psc.rerand_req"
@@ -87,8 +89,8 @@ let encode m =
       Codec.W.varint w (Crypto.Group.exp_to_int proof.Crypto.Sigma.response)
   | Joint { joint } -> write_elt w joint
   | Table_request -> ()
-  | Table_submit cts | Rerand_request cts | Rerandomized cts | Decrypt_request cts
-    ->
+  | Table_submit cts | Noise_plain cts | Rerand_request cts | Rerandomized cts
+  | Decrypt_request cts ->
       write_cts w cts
   | Noise_request { flips } -> Codec.W.varint w flips
   | Noise_slots slots ->
@@ -100,7 +102,8 @@ let encode m =
           Array.iter (Codec.W.varint w) (Crypto.Bit_proof.to_ints proof))
         slots
   | Shuffle_request { vector; rounds } ->
-      Codec.W.varint w rounds;
+      (* zero rounds is no proof: [Round.config] rejects [Some 0] *)
+      Codec.W.varint w (Option.value rounds ~default:0);
       write_cts w vector
   | Shuffled { output; proof } ->
       write_cts w output;
@@ -156,9 +159,10 @@ let decode ~kind body =
   | "psc.noise_req" ->
       Codec.decode body (fun r -> Noise_request { flips = Codec.R.varint r })
   | "psc.noise" -> Codec.decode body (fun r -> Noise_slots (read_bit_slots r))
+  | "psc.noise_plain" -> Codec.decode body (fun r -> Noise_plain (read_cts r))
   | "psc.shuffle_req" ->
       Codec.decode body (fun r ->
-          let rounds = Codec.R.varint r in
+          let rounds = match Codec.R.varint r with 0 -> None | n -> Some n in
           Shuffle_request { vector = read_cts r; rounds })
   | "psc.shuffled" ->
       Codec.decode body (fun r ->
@@ -208,16 +212,16 @@ let decode ~kind body =
 let post sched ~epoch ~src ~dst m =
   Bus.Sched.post sched ~epoch ~src ~dst ~kind:(kind m) ~body:(encode m)
 
-let encode_result (res : Protocol.result) =
+let encode_result (res : Round.result) =
   let w = Codec.W.create () in
-  Codec.W.varint w res.Protocol.raw_nonzero;
-  Codec.W.varint w res.Protocol.total_flips;
-  Codec.W.f64 w res.Protocol.estimate;
-  Codec.W.f64 w res.Protocol.ci.Stats.Ci.lo;
-  Codec.W.f64 w res.Protocol.ci.Stats.Ci.hi;
-  Codec.W.u8 w (if res.Protocol.proofs_ok then 1 else 0);
-  Codec.W.varint w (List.length res.Protocol.culprits);
-  List.iter (Codec.W.varint w) res.Protocol.culprits;
+  Codec.W.varint w res.Round.raw_nonzero;
+  Codec.W.varint w res.Round.total_flips;
+  Codec.W.f64 w res.Round.estimate;
+  Codec.W.f64 w res.Round.ci.Stats.Ci.lo;
+  Codec.W.f64 w res.Round.ci.Stats.Ci.hi;
+  Codec.W.u8 w (if res.Round.proofs_ok then 1 else 0);
+  Codec.W.varint w (List.length res.Round.culprits);
+  List.iter (Codec.W.varint w) res.Round.culprits;
   Codec.W.contents w
 
 let decode_result s =
@@ -240,7 +244,7 @@ let decode_result s =
         culprits := Codec.R.varint r :: !culprits
       done;
       {
-        Protocol.raw_nonzero;
+        Round.raw_nonzero;
         total_flips;
         estimate;
         ci = Stats.Ci.make lo hi;

@@ -1,5 +1,6 @@
-(** PSC's bus messages: key establishment, table submission and the
-    noise → shuffle → rerandomize → decrypt cascade, all as serialized
+(** PSC's party messages: key establishment, table submission and the
+    noise → shuffle → rerandomize → decrypt cascade. In process the
+    parties pass them as typed values; on the bus they are serialized
     envelopes. Ciphertexts, decryption shares and every proof kind
     (Schnorr key proofs, disjunctive bit proofs, cut-and-choose shuffle
     proofs, DLEQ decryption proofs) cross the wire as flat integer
@@ -13,7 +14,10 @@ type msg =
   | Table_submit of Crypto.Elgamal.ciphertext array
   | Noise_request of { flips : int }
   | Noise_slots of (Crypto.Elgamal.ciphertext * Crypto.Bit_proof.t) array
-  | Shuffle_request of { vector : Crypto.Elgamal.ciphertext array; rounds : int }
+  | Noise_plain of Crypto.Elgamal.ciphertext array
+      (** noise without bit proofs, for rounds that do not verify *)
+  | Shuffle_request of { vector : Crypto.Elgamal.ciphertext array; rounds : int option }
+      (** [rounds = None] asks for an unproven shuffle *)
   | Shuffled of {
       output : Crypto.Elgamal.ciphertext array;
       proof : Crypto.Shuffle.proof option;
@@ -37,8 +41,8 @@ val post : Bus.Sched.t -> epoch:int -> src:Bus.Party.t -> dst:Bus.Party.t -> msg
 
 (** {2 Published estimate} *)
 
-val encode_result : Protocol.result -> string
+val encode_result : Round.result -> string
 (** Canonical bytes of the published cardinality estimate — compared
     for byte-identity across bus, in-process and restarted runs. *)
 
-val decode_result : string -> (Protocol.result, Bus.Codec.error) result
+val decode_result : string -> (Round.result, Bus.Codec.error) result

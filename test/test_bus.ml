@@ -158,6 +158,117 @@ let test_psc_wire_proofs () =
   | Ok _ -> Alcotest.fail "decoded to the wrong constructor"
   | Error e -> Alcotest.failf "shuffled: %s" (Bus.Codec.error_to_string e)
 
+(* --- every wire kind on hostile input --- *)
+
+(* One message of every PSC and PrivCount kind (optional proofs both
+   present and absent), built from real group values, each paired with
+   a decoder that forgets the decoded value. *)
+let wire_samples =
+  let cp = Psc.Cp.create ~id:0 ~seed:3 in
+  let joint = Psc.Cp.public_key cp in
+  let drbg = Crypto.Drbg.create "test-bus-samples" in
+  let cts = Array.init 3 (fun _ -> Crypto.Elgamal.encrypt drbg joint Crypto.Elgamal.marker) in
+  let output, proof = Psc.Cp.shuffle cp ~joint ~rounds:(Some 2) cts in
+  let share = Psc.Cp.decrypt_shares cp output in
+  let psc =
+    Psc.Wire.
+      [ Cp_key { pub = joint; proof = Psc.Cp.key_proof cp };
+        Joint { joint };
+        Table_request;
+        Table_submit cts;
+        Noise_request { flips = 4 };
+        Noise_slots (Psc.Cp.noise_slots_proven cp ~joint ~flips:2);
+        Noise_plain (Psc.Cp.noise_slots cp ~joint ~flips:2);
+        Shuffle_request { vector = cts; rounds = Some 2 };
+        Shuffle_request { vector = cts; rounds = None };
+        Shuffled { output; proof };
+        Shuffled { output; proof = None };
+        Rerand_request cts;
+        Rerandomized cts;
+        Decrypt_request cts;
+        Decrypt_share { shares = share.Psc.Cp.shares; proofs = share.Psc.Cp.proofs };
+        Decrypt_share { shares = share.Psc.Cp.shares; proofs = None } ]
+  in
+  let pc =
+    Privcount.Wire.
+      [ Blind_shares { sk = 1; counters = [| 0; 5; 123456789 |] };
+        Report_request;
+        Dc_report [ ("exit.bytes", 42); ("exit.circuits", 7) ];
+        Sk_report_request { exclude_dcs = [ 0; 2 ] };
+        Sk_report [ ("exit.bytes", 99) ] ]
+  in
+  List.map
+    (fun m ->
+      (Psc.Wire.kind m, Psc.Wire.encode m, fun ~kind b -> Result.map ignore (Psc.Wire.decode ~kind b)))
+    psc
+  @ List.map
+      (fun m ->
+        ( Privcount.Wire.kind m,
+          Privcount.Wire.encode m,
+          fun ~kind b -> Result.map ignore (Privcount.Wire.decode ~kind b) ))
+      pc
+
+let test_wire_samples_cover_every_kind () =
+  Alcotest.(check (list string)) "every psc.* and pc.* kind"
+    [ "pc.blind"; "pc.dc_report"; "pc.report_req"; "pc.sk_report"; "pc.sk_report_req";
+      "psc.cp_key"; "psc.decrypt"; "psc.decrypt_req"; "psc.joint"; "psc.noise";
+      "psc.noise_plain"; "psc.noise_req"; "psc.rerand"; "psc.rerand_req"; "psc.shuffle_req";
+      "psc.shuffled"; "psc.table"; "psc.table_req" ]
+    (List.sort_uniq String.compare (List.map (fun (k, _, _) -> k) wire_samples));
+  List.iter
+    (fun (kind, body, decode) ->
+      match decode ~kind body with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" kind (Bus.Codec.error_to_string e))
+    wire_samples
+
+let prop_wire_prefix_error =
+  QCheck.Test.make ~name:"every strict prefix of a psc/pc message is an Error" ~count:500
+    QCheck.(pair (int_bound (List.length wire_samples - 1)) small_nat)
+    (fun (i, cut) ->
+      let kind, body, decode = List.nth wire_samples i in
+      body = ""
+      || match decode ~kind (String.sub body 0 (cut mod String.length body)) with
+         | Error _ -> true
+         | Ok () -> false)
+
+(* Bytes built from varint-shaped tokens (small values, continuation
+   bytes, 9-byte varints whose last group sets the sign bit): uniform
+   bytes almost never build the varints that once decoded to negative
+   lengths. *)
+let hostile_bytes =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_bound 12)
+           (oneof
+              [ map (String.make 1) char;
+                oneofl
+                  [ "\x00"; "\x01"; "\x80"; "\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+                    "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" ] ])))
+
+let prop_wire_garbage_total =
+  QCheck.Test.make ~name:"arbitrary bytes never raise for any psc/pc kind" ~count:400
+    hostile_bytes (fun s ->
+      List.for_all
+        (fun (kind, _, decode) -> match decode ~kind s with Ok () | Error _ -> true)
+        wire_samples)
+
+(* A 9-byte varint whose last group sets bit 62 used to decode to a
+   negative length and reach Array.make. *)
+let test_negative_length_rejected () =
+  let overflow = Bus.Codec.Invalid "varint overflow" in
+  let check what = function
+    | Error e when e = overflow -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Bus.Codec.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: decoded" what
+  in
+  check "varint" (Bus.Codec.decode "\x80\x80\x80\x80\x80\x80\x80\x80\x40" Bus.Codec.R.varint);
+  check "psc.shuffled"
+    (Psc.Wire.decode ~kind:"psc.shuffled" "\x00\x01\x80\x80\x80\x80\x80\x80\x80\x80\x40");
+  check "pc.blind"
+    (Privcount.Wire.decode ~kind:"pc.blind" "\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40")
+
 (* --- scheduler determinism --- *)
 
 (* a 4-party token ring: each delivery decrements a ttl and forwards,
@@ -353,6 +464,38 @@ let test_deploy_malicious_cp () =
       let audit = Obs.Ledger.audit (Obs.Ledger.events ()) in
       Alcotest.(check bool) "audit fails the run" false audit.Obs.Ledger.ok)
 
+(* The bus hosts the same parties as the in-process round, so each CP
+   times its own shuffle and rerandomization: per epoch, every CP in
+   turn has one [psc.shuffle] row, the TS's check of that shuffle, and
+   one [psc.rerandomize] row. *)
+let test_deploy_per_cp_phases () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let cfg = deploy_cfg ~epochs:2 () in
+      ignore (Tormeasure.Deploy.run cfg (scenario "benign"));
+      let rows =
+        List.filter_map
+          (function
+            | Obs.Ledger.Phase { name = ("psc.shuffle" | "psc.rerandomize") as name; _ } ->
+              Some name
+            | Obs.Ledger.Proof { kind = "psc-shuffle"; party; ok = true; _ } ->
+              Some (Printf.sprintf "check %d" party)
+            | _ -> None)
+          (Obs.Ledger.events ())
+      in
+      let per_epoch =
+        List.concat_map
+          (fun cp -> [ "psc.shuffle"; Printf.sprintf "check %d" cp; "psc.rerandomize" ])
+          (List.init cfg.Tormeasure.Deploy.num_cps Fun.id)
+      in
+      Alcotest.(check (list string)) "one shuffle and one rerandomize row per CP per epoch"
+        (per_epoch @ per_epoch) rows)
+
 let test_deploy_restart_byte_identical () =
   let cfg = deploy_cfg ~epochs:2 () in
   let benign = Tormeasure.Deploy.run cfg (scenario "benign") in
@@ -436,6 +579,11 @@ let () =
           Alcotest.test_case "privcount messages" `Quick test_privcount_wire;
           Alcotest.test_case "psc proofs survive the wire" `Quick
             test_psc_wire_proofs;
+          Alcotest.test_case "samples cover every kind" `Quick
+            test_wire_samples_cover_every_kind;
+          QCheck_alcotest.to_alcotest prop_wire_prefix_error;
+          QCheck_alcotest.to_alcotest prop_wire_garbage_total;
+          Alcotest.test_case "negative lengths rejected" `Quick test_negative_length_rejected;
         ] );
       ( "sched",
         [
@@ -455,6 +603,7 @@ let () =
           Alcotest.test_case "pool-size invariance" `Quick test_deploy_jobs_invariance;
           Alcotest.test_case "dc-crash dropout recovery" `Quick test_deploy_dc_crash;
           Alcotest.test_case "malicious CP detected" `Quick test_deploy_malicious_cp;
+          Alcotest.test_case "per-CP phase rows" `Quick test_deploy_per_cp_phases;
           Alcotest.test_case "restart byte-identical" `Quick
             test_deploy_restart_byte_identical;
           Alcotest.test_case "slow CP changes schedule only" `Quick

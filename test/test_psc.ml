@@ -206,7 +206,7 @@ let test_table_privacy_structure () =
   let t2 = Table.create ~table_size:64 ~key:"k" ~joint:pub ~drbg:drbg2 () in
   Table.insert t1 "x";
   Table.insert t2 "x";
-  let c = Table.combine [ t1; t2 ] in
+  let c = Table.combine [ Table.slots t1; Table.slots t2 ] in
   Alcotest.(check int) "combined size" 64 (Array.length c)
 
 let test_cp_bit_rerandomization () =
@@ -248,7 +248,7 @@ let test_combine_size_mismatch_rejected () =
   let t1 = Table.create ~table_size:64 ~key:"k" ~joint:pub ~drbg:drbg1 () in
   let t2 = Table.create ~table_size:32 ~key:"k" ~joint:pub ~drbg:drbg2 () in
   Alcotest.check_raises "size mismatch" (Invalid_argument "Table.combine: size mismatch")
-    (fun () -> ignore (Table.combine [ t1; t2 ]));
+    (fun () -> ignore (Table.combine [ Table.slots t1; Table.slots t2 ]));
   Alcotest.check_raises "no tables" (Invalid_argument "Table.combine: no tables") (fun () ->
       ignore (Table.combine []))
 
