@@ -166,6 +166,10 @@ let establish_joint t =
   done;
   to_cps t (Wire.Joint { joint })
 
+let shuffle_next t ~cp vector =
+  t.stage <- Chain { cp; vector };
+  t.send (Bus.Party.Cp cp) (Wire.Shuffle_request { vector; rounds = t.cfg.proof_rounds })
+
 (* every CP's noise is in: combine the tables, check the bit proofs in
    id order, start the shuffle chain at CP 0 *)
 let start_chain t =
@@ -199,8 +203,10 @@ let start_chain t =
     in
     Array.concat (combined :: per_cp)
   in
-  t.stage <- Chain { cp = 0; vector };
-  t.send (Bus.Party.Cp 0) (Wire.Shuffle_request { vector; rounds = t.cfg.proof_rounds })
+  (* folded into [vector]; dropping them keeps the live heap small *)
+  t.tables <- [];
+  t.noise <- [];
+  shuffle_next t ~cp:0 vector
 
 let check_shuffle t ~cp ~input ~output proof =
   if t.cfg.verify then
@@ -219,6 +225,7 @@ let check_shuffle t ~cp ~input ~output proof =
 (* every decryption share is in: check in id order, combine, estimate *)
 let finish t vector =
   let shares = by_id t.shares in
+  t.shares <- [];
   let raw_nonzero =
     Obs.Ledger.phase "psc.decrypt" ~attrs:[ jobs_attr () ] @@ fun () ->
     if t.cfg.verify then
@@ -276,11 +283,7 @@ let ts_handle t src m =
       check_shuffle t ~cp ~input:vector ~output proof;
       t.send src (Wire.Rerand_request output)
   | Bus.Party.Cp cp, Wire.Rerandomized vector, Chain { cp = expect; _ } when cp = expect ->
-      if cp + 1 < t.cfg.num_cps then begin
-        t.stage <- Chain { cp = cp + 1; vector };
-        t.send (Bus.Party.Cp (cp + 1))
-          (Wire.Shuffle_request { vector; rounds = t.cfg.proof_rounds })
-      end
+      if cp + 1 < t.cfg.num_cps then shuffle_next t ~cp:(cp + 1) vector
       else begin
         t.stage <- Decrypt { vector };
         to_cps t (Wire.Decrypt_request vector)
@@ -314,7 +317,7 @@ let ts_request_tables t ~dcs =
 let ts_start_aggregate t =
   if t.tables = [] then invalid_arg "Party.ts_start_aggregate: no tables";
   Option.iter
-    (fun (p : Dp.Mechanism.params) ->
+    (fun p ->
       Obs.Ledger.grant ~system:"psc" ~epsilon:p.Dp.Mechanism.epsilon ~delta:p.Dp.Mechanism.delta;
       Obs.Ledger.draw ~system:"psc" ~counter:"cardinality" ~mechanism:"binomial"
         ~epsilon:p.Dp.Mechanism.epsilon ~delta:p.Dp.Mechanism.delta)

@@ -199,7 +199,9 @@ let wire_samples =
   in
   List.map
     (fun m ->
-      (Psc.Wire.kind m, Psc.Wire.encode m, fun ~kind b -> Result.map ignore (Psc.Wire.decode ~kind b)))
+      ( Psc.Wire.kind m,
+        Psc.Wire.encode m,
+        fun ~kind b -> Result.map ignore (Psc.Wire.decode ~kind b) ))
     psc
   @ List.map
       (fun m ->

@@ -350,7 +350,8 @@ let golden_round ?(proof_rounds = Some 4) ?(verify = true) ?tamper ?dp () =
     Protocol.insert proto ~dc:(i mod 2) (Printf.sprintf "g%d" (i mod 45))
   done;
   let bytes = Wire.encode_result (Protocol.run proto) in
-  String.concat "" (List.init (String.length bytes) (fun i -> Printf.sprintf "%02x" (Char.code bytes.[i])))
+  String.concat ""
+    (List.init (String.length bytes) (fun i -> Printf.sprintf "%02x" (Char.code bytes.[i])))
 
 let golden_results =
   [ ("verified", (fun () -> golden_round ()),
