@@ -19,7 +19,8 @@ let by_id l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l
 
 let cp (cfg : Round.config) ~seed ~id send =
   let cp = Cp.create ~id ~seed in
-  send Bus.Party.Ts (Wire.Cp_key { pub = Cp.public_key cp; proof = Cp.key_proof cp });
+  let reply m = send Bus.Party.Ts m in
+  reply (Wire.Cp_key { pub = Cp.public_key cp; proof = Cp.key_proof cp });
   let tamper =
     match cfg.tamper with
     | Some { tampered_cp; action } when tampered_cp = id ->
@@ -35,7 +36,6 @@ let cp (cfg : Round.config) ~seed ~id send =
   let phase name f =
     Obs.Ledger.phase name ~attrs:[ ("cp", string_of_int id); jobs_attr () ] f
   in
-  let reply m = send Bus.Party.Ts m in
   let handle src = function
     | Wire.Joint { joint = j } -> joint := Some (j, Crypto.Group.precomp j)
     | Wire.Noise_request { flips } when cfg.verify ->

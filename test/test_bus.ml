@@ -558,7 +558,7 @@ let golden_deploys =
 let golden_deploy_cases =
   List.map
     (fun (name, digest, orders) ->
-      Alcotest.test_case ("golden " ^ name) `Quick (fun () ->
+      Alcotest.test_case name `Quick (fun () ->
           let o = Tormeasure.Deploy.run (deploy_cfg ~epochs:2 ()) (scenario name) in
           Alcotest.(check string) "published digest" digest o.Tormeasure.Deploy.digest;
           Alcotest.(check (list string)) "delivery order" orders

@@ -195,6 +195,13 @@ let test_decode_errors () =
   (match Evtrace.Segment.decode (s ^ "x") with
   | Error (Bus.Codec.Trailing 1) -> ()
   | _ -> Alcotest.fail "expected Trailing 1");
+  (* a config count whose ninth varint group sets the sign bit: a typed
+     error, not a negative length reaching List.init *)
+  (match
+     Evtrace.Segment.decode "TMT\x01\x0e\x00\x01\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+   with
+  | Error (Bus.Codec.Invalid "varint overflow") -> ()
+  | _ -> Alcotest.fail "expected Invalid (varint overflow)");
   (* a record tag outside the format, with a fresh valid checksum *)
   let seg = decode_exn s in
   let doctored = { seg with Evtrace.Segment.payload = "\xff" } in
