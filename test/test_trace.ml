@@ -1,6 +1,7 @@
 (* lib/trace and the netday record/replay pair: event-record and
    header round-trips (QCheck), typed decode errors on truncation /
-   bad magic / wrong version / corrupt payloads, replay tallies
+   bad magic / wrong version / corrupt payloads, golden segment
+   bytes of a fixed recording, replay tallies
    byte-identical to the live run at any pool size, Mismatch on
    tampered headers, and repeat-scaling semantics. *)
 
@@ -236,6 +237,17 @@ let segments () =
     (fun bytes -> decode_exn bytes)
     (Lazy.force recording).Netday.segments
 
+(* The SHA-256 of every segment of the fixed recording: any change to
+   the writer must reproduce these bytes exactly. *)
+let golden_segment_digests =
+  [ "fa0cfa9669446f92b9a1bfe9c75a14565d1f88141beee7e01f8db54dc7a68bc2";
+    "965303b40fb05ef57be80fc277a926c751a17956cb72231f69e3f839c9bc949f";
+    "5ca48afedba9f41d8edc31746ec28921de89ea65041a778686b9c194657add6c" ]
+
+let test_golden_segments () =
+  Alcotest.(check (list string)) "segment digests" golden_segment_digests
+    (Array.to_list (Array.map Crypto.Sha256.hex (Lazy.force recording).Netday.segments))
+
 let test_replay_equals_live () =
   let r = Lazy.force recording in
   let rr = Netday.replay ~verify:true (segments ()) in
@@ -335,6 +347,7 @@ let () =
         ] );
       ( "record-replay",
         [
+          Alcotest.test_case "golden segment bytes" `Quick test_golden_segments;
           Alcotest.test_case "record = live run" `Slow test_record_matches_live_run;
           Alcotest.test_case "replay = live run" `Slow test_replay_equals_live;
           qt prop_replay_jobs_invariance;
