@@ -429,160 +429,166 @@ module View = struct
         }
 end
 
-(* The payload decoder is a hand-inlined cursor over one string: same
-   wire forms as Bus.Codec.R (LEB128 varint, zigzag, IEEE bits), but
-   without per-field closure or bounds ceremony — this loop is the
-   replay hot path. Malformed bytes surface as the same typed errors
-   the codec produces. *)
+(* The payload decoder: a cursor over one string with top-level
+   readers, so no closure is built per field. Same wire forms as
+   Bus.Codec.R (LEB128 varint, zigzag, IEEE bits) and the same typed
+   errors, but the one-byte varint is inlined at each call site and
+   only longer varints take the out-of-line loop — this is the replay
+   hot path. *)
 
 exception Bad of error
 
+type cursor = { s : string; len : int; mutable pos : int }
+
+let[@inline] u8 c =
+  let p = c.pos in
+  if p >= c.len then raise (Bad Bus.Codec.Truncated);
+  c.pos <- p + 1;
+  Char.code (String.unsafe_get c.s p)
+
+(* Nine 7-bit groups hold every non-negative int; a tenth group, or a
+   ninth that sets the sign bit, cannot come from the writer. *)
+let rec varint_from c acc shift =
+  if shift > 62 then raise (Bad (Bus.Codec.Invalid "varint overflow"));
+  let b = u8 c in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 <> 0 then varint_from c acc (shift + 7)
+  else if acc < 0 then raise (Bad (Bus.Codec.Invalid "varint overflow"))
+  else acc
+
+let[@inline] varint c =
+  let p = c.pos in
+  if p < c.len && Char.code (String.unsafe_get c.s p) < 0x80 then begin
+    c.pos <- p + 1;
+    Char.code (String.unsafe_get c.s p)
+  end
+  else varint_from c 0 0
+
+let[@inline] zint c =
+  let x = varint c in
+  (x lsr 1) lxor (- (x land 1))
+
+let f64 c =
+  let p = c.pos in
+  if p + 8 > c.len then raise (Bad Bus.Codec.Truncated);
+  c.pos <- p + 8;
+  Int64.float_of_bits (String.get_int64_be c.s p)
+
+let client c (v : View.t) ~ncountries =
+  v.ip <- v.ip + zint c;
+  let country = varint c in
+  if country >= ncountries then raise (Bad (Bus.Codec.Invalid "country id out of range"));
+  v.country <- country;
+  v.asn <- v.asn + zint c
+
+(* [v.host] also holds the literal-destination sentinels, so the
+   delta base is passed in and the new base returned *)
+let host c (v : View.t) ~base ~nhosts =
+  let h = base + zint c in
+  if h < 0 || h >= nhosts then raise (Bad (Bus.Codec.Invalid "host id out of range"));
+  v.host <- h;
+  h
+
 let iter (seg : Segment.t) f =
-  let s = seg.payload in
-  let len = String.length s in
+  let c = { s = seg.payload; len = String.length seg.payload; pos = 0 } in
   let ncountries = Array.length seg.countries in
   let nhosts = Array.length seg.hosts in
   let v = View.make () in
-  let pos = ref 0 in
-  let u8 () =
-    let p = !pos in
-    if p >= len then raise (Bad Bus.Codec.Truncated);
-    pos := p + 1;
-    Char.code (String.unsafe_get s p)
-  in
-  let varint () =
-    let rec go acc shift =
-      if shift > 62 then raise (Bad (Bus.Codec.Invalid "varint overflow"));
-      let b = u8 () in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go acc (shift + 7)
-    in
-    go 0 0
-  in
-  let zint () =
-    let x = varint () in
-    (x lsr 1) lxor (- (x land 1))
-  in
-  let f64 () =
-    let p = !pos in
-    if p + 8 > len then raise (Bad Bus.Codec.Truncated);
-    pos := p + 8;
-    Int64.float_of_bits (String.get_int64_be s p)
-  in
-  let country () =
-    let c = varint () in
-    if c >= ncountries then raise (Bad (Bus.Codec.Invalid "country id out of range"));
-    c
-  in
-  let d_ip () = v.ip <- v.ip + zint () in
-  let d_asn () = v.asn <- v.asn + zint () in
-  let d_port () = v.port <- v.port + zint () in
-  let client () =
-    d_ip ();
-    v.country <- country ();
-    d_asn ()
-  in
   let count = ref 0 in
   (* the host delta base must survive literal-destination records,
      which set [v.host] to a negative sentinel: track it separately *)
   let host_base = ref 0 in
-  let d_host_based () =
-    let h = !host_base + zint () in
-    if h < 0 || h >= nhosts then raise (Bad (Bus.Codec.Invalid "host id out of range"));
-    host_base := h;
-    v.host <- h
-  in
   match
-    while !pos < len do
-      let tag = u8 () in
+    while c.pos < c.len do
+      let tag = u8 c in
       (if tag = t_connection then begin
          v.kind <- View.Connection;
-         client ()
+         client c v ~ncountries
        end
        else if tag = t_circuit_data then begin
          v.kind <- View.Circuit_data;
-         client ()
+         client c v ~ncountries
        end
        else if tag = t_circuit_dir then begin
          v.kind <- View.Circuit_directory;
-         client ()
+         client c v ~ncountries
        end
        else if tag = t_dir_request then begin
          v.kind <- View.Directory_request;
-         d_ip ()
+         v.ip <- v.ip + zint c
        end
        else if tag = t_entry_bytes_i then begin
          v.kind <- View.Entry_bytes;
-         client ();
-         v.bytes <- float_of_int (varint ())
+         client c v ~ncountries;
+         v.bytes <- float_of_int (varint c)
        end
        else if tag = t_entry_bytes_f then begin
          v.kind <- View.Entry_bytes;
-         client ();
-         v.bytes <- f64 ()
+         client c v ~ncountries;
+         v.bytes <- f64 c
        end
        else if tag = t_exit_bytes_i then begin
          v.kind <- View.Exit_bytes;
-         v.bytes <- float_of_int (varint ())
+         v.bytes <- float_of_int (varint c)
        end
        else if tag = t_exit_bytes_f then begin
          v.kind <- View.Exit_bytes;
-         v.bytes <- f64 ()
+         v.bytes <- f64 c
        end
        else if tag = t_stream_init_host then begin
          v.kind <- View.Stream_initial;
-         d_host_based ();
-         d_port ()
+         host_base := host c v ~base:!host_base ~nhosts;
+         v.port <- v.port + zint c
        end
        else if tag = t_stream_init_v4 then begin
          v.kind <- View.Stream_initial;
          v.host <- -1;
-         d_port ()
+         v.port <- v.port + zint c
        end
        else if tag = t_stream_init_v6 then begin
          v.kind <- View.Stream_initial;
          v.host <- -2;
-         d_port ()
+         v.port <- v.port + zint c
        end
        else if tag = t_stream_sub_host then begin
          v.kind <- View.Stream_subsequent;
-         d_host_based ();
-         d_port ()
+         host_base := host c v ~base:!host_base ~nhosts;
+         v.port <- v.port + zint c
        end
        else if tag = t_stream_sub_v4 then begin
          v.kind <- View.Stream_subsequent;
          v.host <- -1;
-         d_port ()
+         v.port <- v.port + zint c
        end
        else if tag = t_stream_sub_v6 then begin
          v.kind <- View.Stream_subsequent;
          v.host <- -2;
-         d_port ()
+         v.port <- v.port + zint c
        end
        else if tag = t_desc_published then begin
          v.kind <- View.Descriptor_published;
-         d_host_based ();
-         v.flag <- u8 () <> 0
+         host_base := host c v ~base:!host_base ~nhosts;
+         v.flag <- u8 c <> 0
        end
        else if tag = t_desc_fetch_ok then begin
          v.kind <- View.Descriptor_fetch;
          v.fetch <- 0;
-         d_host_based ();
-         v.flag <- u8 () <> 0
+         host_base := host c v ~base:!host_base ~nhosts;
+         v.flag <- u8 c <> 0
        end
        else if tag = t_desc_fetch_missing then begin
          v.kind <- View.Descriptor_fetch;
          v.fetch <- 1;
-         d_host_based ()
+         host_base := host c v ~base:!host_base ~nhosts
        end
        else if tag = t_desc_fetch_malformed then begin
          v.kind <- View.Descriptor_fetch;
          v.fetch <- 2;
-         d_host_based ()
+         host_base := host c v ~base:!host_base ~nhosts
        end
        else if tag = t_rend_success then begin
          v.kind <- View.Rendezvous;
-         v.cells <- varint ()
+         v.cells <- varint c
        end
        else if tag = t_rend_closed then begin
          v.kind <- View.Rendezvous;

@@ -203,17 +203,83 @@ let test_decode_errors () =
    with
   | Error (Bus.Codec.Invalid "varint overflow") -> ()
   | _ -> Alcotest.fail "expected Invalid (varint overflow)");
-  (* a record tag outside the format, with a fresh valid checksum *)
+  (* doctored payloads under a fresh valid checksum; the segment has
+     one country and no hosts *)
   let seg = decode_exn s in
-  let doctored = { seg with Evtrace.Segment.payload = "\xff" } in
-  (match Evtrace.iter (decode_exn (Evtrace.Segment.encode doctored)) (fun _ -> ()) with
-  | Error (Bus.Codec.Invalid _) -> ()
-  | _ -> Alcotest.fail "expected Invalid (unknown tag)")
+  let replay ?(events = 1) payload =
+    let doctored = { seg with Evtrace.Segment.payload; events } in
+    Evtrace.iter_events (decode_exn (Evtrace.Segment.encode doctored)) ignore
+  in
+  let expect what want payload got =
+    match got with
+    | Error e when e = want -> ()
+    | Error e -> Alcotest.failf "%s: %S gave %s" what payload (Evtrace.error_to_string e)
+    | Ok n -> Alcotest.failf "%s: %S decoded %d events" what payload n
+  in
+  let check ?events what want payload = expect what want payload (replay ?events payload) in
+  check "unknown tag" (Bus.Codec.Invalid "unknown record tag 255") "\xff";
+  check "short record" Bus.Codec.Truncated "\x00\x00";
+  check "short volume" Bus.Codec.Truncated "\x07\x00\x00";
+  check "country id" (Bus.Codec.Invalid "country id out of range") "\x00\x00\x01\x00";
+  check "host id" (Bus.Codec.Invalid "host id out of range") "\x08\x00\x00";
+  check "event count" (Bus.Codec.Invalid "header promises 1 events, payload holds 2")
+    "\x00\x00\x00\x00\x00\x00\x00\x00";
+  (* a connection record whose country varint sets the sign bit in its
+     ninth group: a typed error, not a negative id that slips past the
+     range check and indexes the country table *)
+  check "country varint overflow" (Bus.Codec.Invalid "varint overflow")
+    "\x00\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40\x00";
+  check "ten-group varint" (Bus.Codec.Invalid "varint overflow")
+    "\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00"
 
 let prop_garbage_total =
   QCheck.Test.make ~name:"arbitrary bytes never raise, only typed errors" ~count:500
     QCheck.(string_of_size (Gen.int_bound 80))
     (fun s -> match Evtrace.Segment.decode s with Ok _ -> true | Error _ -> true)
+
+(* Payloads built from record tags and varint-shaped tokens (small
+   values, continuation bytes, 9-byte varints whose last group sets the
+   sign bit, 10-byte varints), sealed under a valid header with a fresh
+   checksum so they reach the record decoder: uniform bytes almost
+   never pass the checksum, and seldom put such a varint in a field. *)
+let payload_token =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun t -> String.make 1 (Char.chr t)) (int_bound 21));
+        (1, map (String.make 1) char);
+        ( 3,
+          oneofl
+            [ "\x00"; "\x01"; "\x02"; "\x7f"; "\x80"; "\x80\x01";
+              "\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+              "\xff\xff\xff\xff\xff\xff\xff\xff\x7f";
+              "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" ] ) ])
+
+let arb_payload =
+  QCheck.make
+    ~print:(fun (events, payload) -> Printf.sprintf "events %d, payload %S" events payload)
+    QCheck.Gen.(
+      pair (int_bound 6) (map (String.concat "") (list_size (int_bound 16) payload_token)))
+
+let prop_payload_total =
+  let base =
+    lazy
+      (decode_exn
+         (seal
+            [ Torsim.Event.Client_connection { client_ip = 9; country = "US"; asn = 701 };
+              Torsim.Event.Client_connection { client_ip = 9; country = "DE"; asn = 701 };
+              Torsim.Event.Exit_stream
+                { kind = Torsim.Event.Initial; dest = Torsim.Event.Hostname "a.com"; port = 443 };
+              Torsim.Event.Exit_stream
+                { kind = Torsim.Event.Initial; dest = Torsim.Event.Hostname "b.org"; port = 80 } ]
+            ~tallies:[]))
+  in
+  QCheck.Test.make ~name:"payload bytes never raise, only typed errors" ~count:1000 arb_payload
+    (fun (events, payload) ->
+      let seg =
+        decode_exn
+          (Evtrace.Segment.encode { (Lazy.force base) with Evtrace.Segment.payload; events })
+      in
+      match Evtrace.iter_events seg ignore with Ok _ | Error _ -> true)
 
 (* --- netday record/replay --- *)
 
@@ -247,6 +313,24 @@ let golden_segment_digests =
 let test_golden_segments () =
   Alcotest.(check (list string)) "segment digests" golden_segment_digests
     (Array.to_list (Array.map Crypto.Sha256.hex (Lazy.force recording).Netday.segments))
+
+(* Replay decodes in place: with a no-op sink, Evtrace.iter allocates
+   only the boxed byte volumes. Gc counters are per domain, so the
+   segments are decoded on the test's own domain, not on the pool. *)
+let test_iter_allocation () =
+  let segs = segments () in
+  let events = Array.fold_left (fun n (seg : Evtrace.Segment.t) -> n + seg.events) 0 segs in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun seg ->
+      match Evtrace.iter seg ignore with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "iter failed: %s" (Evtrace.error_to_string e))
+    segs;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words/event over %d events <= 0.25" per_event events)
+    true (per_event <= 0.25)
 
 let test_replay_equals_live () =
   let r = Lazy.force recording in
@@ -343,6 +427,7 @@ let () =
           qt prop_header_roundtrip;
           qt prop_truncated;
           qt prop_garbage_total;
+          qt prop_payload_total;
           Alcotest.test_case "typed decode errors" `Quick test_decode_errors;
         ] );
       ( "record-replay",
@@ -350,6 +435,7 @@ let () =
           Alcotest.test_case "golden segment bytes" `Quick test_golden_segments;
           Alcotest.test_case "record = live run" `Slow test_record_matches_live_run;
           Alcotest.test_case "replay = live run" `Slow test_replay_equals_live;
+          Alcotest.test_case "iter allocation" `Quick test_iter_allocation;
           qt prop_replay_jobs_invariance;
           Alcotest.test_case "repeat scales" `Slow test_replay_repeat_scales;
           Alcotest.test_case "mismatch detection" `Slow test_replay_mismatch;
