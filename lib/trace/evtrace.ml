@@ -216,14 +216,12 @@ module Writer = struct
   let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xff))
 
   let varint t v =
-    let rec go v =
-      if v < 0x80 then Buffer.add_char t.buf (Char.chr v)
-      else begin
-        Buffer.add_char t.buf (Char.chr (0x80 lor (v land 0x7f)));
-        go (v lsr 7)
-      end
-    in
-    go v
+    let v = ref v in
+    while !v >= 0x80 do
+      Buffer.add_char t.buf (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+      v := !v lsr 7
+    done;
+    Buffer.add_char t.buf (Char.chr !v)
 
   let zint t v = varint t ((v lsl 1) lxor (v asr 62))
   let f64 t v = Buffer.add_int64_be t.buf (Int64.bits_of_float v)
