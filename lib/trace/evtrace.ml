@@ -8,9 +8,10 @@
    encoded as zigzag deltas against the previous record's values, so
    the common event costs 2-5 bytes. Replay decodes the payload in
    place into one reused mutable view, which is what lets ingestion
-   benchmarks run at 100M+ events (DESIGN.md §3f); the loop is not
-   allocation-free (about 103 B/event, measured by the replay-ingest
-   benchmark). *)
+   benchmarks run at 100M+ events (DESIGN.md §3f). The decoder builds
+   no closures and inlines the one-byte varint; what it still
+   allocates is the boxed byte volume of entry/exit records, about
+   0.56 B/event on the replay-ingest day. *)
 
 type error = Bus.Codec.error
 
@@ -479,8 +480,7 @@ let client c (v : View.t) ~ncountries =
   v.country <- country;
   v.asn <- v.asn + zint c
 
-(* [v.host] also holds the literal-destination sentinels, so the
-   delta base is passed in and the new base returned *)
+(* returns the new host delta base, see [iter] *)
 let host c (v : View.t) ~base ~nhosts =
   let h = base + zint c in
   if h < 0 || h >= nhosts then raise (Bad (Bus.Codec.Invalid "host id out of range"));

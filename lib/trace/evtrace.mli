@@ -13,13 +13,14 @@
     - a payload of varint-delta event records over the interned ids.
 
     Header fields are written with the [Bus.Codec] primitives; the
-    record payload uses the same varint/zigzag wire forms through an
-    inlined cursor. Replay reads a whole segment into one buffer and
-    decodes records in place into a single reused {!View.t} — no
-    torsim event values. It is not allocation-free: the
-    replay-ingest benchmark measures about 103 B/event
-    ([alloc_b_per_unit]; the [replay_allocates] finding in
-    [perfbench/plan.json]), the same figure as {!iter} alone.
+    record payload uses the same varint/zigzag wire forms through a
+    cursor whose one-byte varint path is inlined at each field. Replay
+    reads a whole segment into one buffer and decodes records in place
+    into a single reused {!View.t} — no torsim event values and no
+    per-field closures. What {!iter} still allocates is the boxed
+    [View.bytes] of entry/exit records: about 0.56 B/event on the
+    replay-ingest day, against 0.77 B/event for the whole replay
+    ([alloc_b_per_unit]).
 
     Decoding never raises across the API boundary except through the
     documented {!Error} wrapper used inside pool workers; malformed
@@ -155,8 +156,9 @@ val iter : Segment.t -> (View.t -> unit) -> (int, error) result
     it to the sink; returns the number of records decoded. Fails with
     [Invalid] if the decoded count disagrees with the header, and with
     the usual typed errors on malformed payload bytes. The decode loop
-    itself allocates about 103 B/record (see the header above); the
-    sink adds whatever it allocates. *)
+    itself allocates only the boxed byte volume of entry/exit records
+    (well under one word per record on average, see the header above);
+    the sink adds whatever it allocates. *)
 
 val iter_events : Segment.t -> (Torsim.Event.t -> unit) -> (int, error) result
 (** {!iter} through {!View.to_event} (allocates one event per record). *)
