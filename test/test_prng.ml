@@ -266,6 +266,95 @@ let test_alias_invalid () =
     (Invalid_argument "Alias.create: weights must sum to a positive value") (fun () ->
       ignore (Prng.Alias.create [| 0.0; 0.0 |]))
 
+(* --- known answers and golden streams --- *)
+
+(* The first xoshiro256** outputs for seed 42 (SplitMix64-expanded
+   state), checked against an independent implementation. *)
+let test_known_answer () =
+  let rng = Prng.Rng.create 42 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "xoshiro256** output" expected (Prng.Rng.int64 rng))
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L; -1389169964527427423L ]
+
+(* MD5 over the first [golden_draws] outputs of a stream, each as 8
+   little-endian bytes (floats by their bit pattern). Any change to the
+   generator or a sampler that alters a single draw changes the digest. *)
+let golden_draws = 10_000
+
+let stream_digest draw =
+  let b = Buffer.create (golden_draws * 8) in
+  for _ = 1 to golden_draws do
+    Buffer.add_int64_le b (draw ())
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let of_int f () = Int64.of_int (f ())
+let of_float f () = Int64.bits_of_float (f ())
+let of_bool f () = if f () then 1L else 0L
+
+(* Each stream starts from a fresh [Rng.create 42]. *)
+let golden_streams : (string * string * (Prng.Rng.t -> unit -> int64)) list =
+  let open Prng in
+  [
+    ("split child", "1172f068963f8cd40a6e0dc51719d539",
+      fun r -> let c = Rng.split r in fun () -> Rng.int64 c);
+    ("split parent", "e596d12b9b5d9cdc31637f92ff5d3e30",
+      fun r -> ignore (Rng.split r); fun () -> Rng.int64 r);
+    ("copy", "54208693dbf344f51c3811e88bddf634",
+      fun r -> ignore (Rng.int64 r); let c = Rng.copy r in fun () -> Rng.int64 c);
+    ("bits", "10ba957d137886cb2114326bbec2b0fd", fun r -> of_int (fun () -> Rng.bits r));
+    ("below 7", "07ed842e17d8904836e8a62ec5ebf4ae", fun r -> of_int (fun () -> Rng.below r 7));
+    ("below 17", "cf6a436cbff6a8d9c7a77fd24a90fb2a", fun r -> of_int (fun () -> Rng.below r 17));
+    ("below 2^40", "49ccb27d851da944adcc7e689b37a074",
+      fun r -> of_int (fun () -> Rng.below r (1 lsl 40)));
+    ("float", "e733c6fd8b436b0c6bbfa66d7fa60d52", fun r -> of_float (fun () -> Rng.float r));
+    ("bool", "83210e063585f9fc61e37cf84c8105a3", fun r -> of_bool (fun () -> Rng.bool r));
+    ("bernoulli 0.3", "2cb99e801a8c7e5227f69fa7dd117aa6",
+      fun r -> of_bool (fun () -> Rng.bernoulli r 0.3));
+    ("zipf 40 1.2", "f17559decd490db9e9c6739250db55b3",
+      fun r -> of_int (fun () -> Dist.zipf r ~n:40 ~s:1.2));
+    ("zipf 1000 1.1", "647e555e8217906687c75804e45eba3f",
+      fun r -> of_int (fun () -> Dist.zipf r ~n:1000 ~s:1.1));
+    ("zipf 1e6 1.0", "4d9faa0321633d3b38ea6710828c9fe8",
+      fun r -> of_int (fun () -> Dist.zipf r ~n:1_000_000 ~s:1.0));
+    ("zipf 3e6 0.85", "a755e68f28c56fd32aad4ab604ae110a",
+      fun r -> of_int (fun () -> Dist.zipf r ~n:3_000_000 ~s:0.85));
+    ("poisson 3.5", "d27f5fb16247f81979b2a464ceb17201",
+      fun r -> of_int (fun () -> Dist.poisson r ~lambda:3.5));
+    ("poisson 13.5", "78fad516b69f6b7d3d45fd196972f237",
+      fun r -> of_int (fun () -> Dist.poisson r ~lambda:13.5));
+    ("poisson 100", "a3346a0838020f948901846c83c349e8",
+      fun r -> of_int (fun () -> Dist.poisson r ~lambda:100.0));
+    ("geometric 0.05", "67b7c2e2d2701fdadffbd258f4ea8136",
+      fun r -> of_int (fun () -> Dist.geometric r ~p:0.05));
+    ("exponential 0.5", "109f05fe8207556c4de833ffd739f267",
+      fun r -> of_float (fun () -> Dist.exponential r ~rate:0.5));
+    ("normal", "447d38f079afefba00344b8f33b32bdd",
+      fun r -> of_float (fun () -> Dist.normal r ~mu:1.5 ~sigma:2.0));
+    ("binomial trivial", "47de5ec07fb1638c4a0de0fe47a6c5ee",
+      fun r ->
+        of_int (fun () ->
+            Dist.binomial r ~n:0 ~p:0.5 + Dist.binomial r ~n:9 ~p:0.0 + Dist.binomial r ~n:9 ~p:1.0));
+    ("binomial exact", "1d157c90a2bfe2f50e03adafed4edb48",
+      fun r -> of_int (fun () -> Dist.binomial r ~n:20 ~p:0.3));
+    ("binomial skip low p", "c64ad100f30c5d95310170028f00712e",
+      fun r -> of_int (fun () -> Dist.binomial r ~n:1000 ~p:0.001));
+    ("binomial skip high p", "0c253a7d241eb3a6f1ffb42578cdcc17",
+      fun r -> of_int (fun () -> Dist.binomial r ~n:1000 ~p:0.998));
+    ("binomial normal", "7a7dbeaf989f377af06c0a3a09cc59d7",
+      fun r -> of_int (fun () -> Dist.binomial r ~n:10_000 ~p:0.5));
+    ("alias", "852340ac79dc640168730ed65c2d937e",
+      fun r ->
+        let a = Alias.create [| 0.5; 3.0; 0.0; 1.25; 7.0; 0.1 |] in
+        of_int (fun () -> Alias.sample a r));
+  ]
+
+let test_golden_streams () =
+  List.iter
+    (fun (name, expected, stream) ->
+      Alcotest.(check string) name expected (stream_digest (stream (Prng.Rng.create 42))))
+    golden_streams
+
 (* --- qcheck properties --- *)
 
 let prop_below_in_range =
@@ -337,6 +426,11 @@ let () =
           Alcotest.test_case "single bucket" `Quick test_alias_single;
           Alcotest.test_case "zero weight bucket" `Quick test_alias_zero_weight;
           Alcotest.test_case "invalid input" `Quick test_alias_invalid;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "known answer" `Quick test_known_answer;
+          Alcotest.test_case "streams" `Quick test_golden_streams;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
