@@ -48,8 +48,9 @@ let fit_exponent ranked_counts =
    visits out of a universe of n Zipf(s)-popular items. One trial. *)
 let simulate_distinct rng ~n ~s ~draws =
   let seen = Hashtbl.create (min draws 65_536) in
+  let zipf = Prng.Dist.Zipf.create ~n ~s in
   for _ = 1 to draws do
-    let k = Prng.Dist.zipf rng ~n ~s in
+    let k = Prng.Dist.Zipf.draw zipf rng in
     if not (Hashtbl.mem seen k) then Hashtbl.add seen k ()
   done;
   Hashtbl.length seen

@@ -15,11 +15,12 @@ let top1000_share = 0.47
 (* Active AS universe: ASes that plausibly host Tor clients at all. *)
 let active = 14_000
 
+(* Within the top 1000, popularity is itself heavy-tailed but flat
+   enough that no AS is statistically significant at our weight. *)
+let top_zipf = Prng.Dist.Zipf.create ~n:top_ranked ~s:0.6
+
 let sample rng =
-  if Prng.Rng.bernoulli rng top1000_share then
-    (* within the top 1000, popularity is itself heavy-tailed but flat
-       enough that no AS is statistically significant at our weight *)
-    Prng.Dist.zipf rng ~n:top_ranked ~s:0.6
+  if Prng.Rng.bernoulli rng top1000_share then Prng.Dist.Zipf.draw top_zipf rng
   else
     (* outside: uniform-ish over the active tail *)
     top_ranked + Prng.Rng.below rng (active - top_ranked) + 1

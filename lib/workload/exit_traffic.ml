@@ -23,14 +23,25 @@ let default =
     third_party_prob = 0.55;
   }
 
-(* A small, highly concentrated universe of CDN / ad / analytics hosts. *)
-let third_party_host rng =
-  Printf.sprintf "cdn%d.t%d.com"
-    (Prng.Dist.zipf rng ~n:40 ~s:1.2)
-    (Prng.Dist.zipf rng ~n:40 ~s:1.2)
+(* A small, highly concentrated universe of CDN / ad / analytics hosts:
+   "cdn<a>.t<b>.com" for Zipf(40, 1.2) ranks a and b. The names are
+   interned at module load, [cdn_hosts.(a).(b)], so a draw builds no
+   string. *)
+let cdn_zipf = Prng.Dist.Zipf.create ~n:40 ~s:1.2
 
-let run_visit config engine client rng =
-  let { Popularity.host = _; port; dest } = Popularity.sample config.popularity rng in
+let cdn_hosts =
+  Array.init 41 (fun a -> Array.init 41 (fun b -> Printf.sprintf "cdn%d.t%d.com" a b))
+
+let third_party_host rng =
+  (* The t-rank is drawn first: the streams were fixed when both ranks
+     were arguments of one application, which OCaml evaluates right to
+     left. *)
+  let t = Prng.Dist.Zipf.draw cdn_zipf rng in
+  let cdn = Prng.Dist.Zipf.draw cdn_zipf rng in
+  cdn_hosts.(cdn).(t)
+
+let run_visit config popularity engine client rng =
+  let { Popularity.host = _; port; dest } = Popularity.draw popularity rng in
   let subsequent =
     Prng.Dist.geometric rng ~p:(1.0 /. (1.0 +. config.subsequent_mean))
   in
@@ -48,6 +59,7 @@ let run ?(config = default) engine population rng ~visits =
   let clients = Population.clients population in
   let n = Array.length clients in
   if n = 0 then invalid_arg "Exit_traffic.run: empty population";
+  let popularity = Popularity.sampler config.popularity in
   for i = 0 to visits - 1 do
-    run_visit config engine clients.(i mod n) rng
+    run_visit config popularity engine clients.(i mod n) rng
   done

@@ -65,18 +65,19 @@ let run_fetches config engine rng =
   let n_services = Array.length services in
   if n_services = 0 then invalid_arg "Onion_activity.run_fetches: no services";
   let fetchable = max 1 (int_of_float (config.fetched_fraction *. float_of_int n_services)) in
-  let bogus_universe = 50_000 in
+  let bogus = Prng.Dist.Zipf.create ~n:50_000 ~s:config.bogus_zipf in
+  let success = Prng.Dist.Zipf.create ~n:fetchable ~s:config.success_zipf in
   for _ = 1 to config.total_fetches do
     if Prng.Rng.bernoulli rng config.fetch_fail_rate then begin
       if Prng.Rng.bernoulli rng config.malformed_share_of_failures then
         Torsim.Engine.fetch_malformed engine
       else
         (* heavy repetition of a few dead addresses: botnet-like *)
-        let k = Prng.Dist.zipf rng ~n:bogus_universe ~s:config.bogus_zipf in
+        let k = Prng.Dist.Zipf.draw bogus rng in
         Torsim.Engine.fetch_descriptor engine ~address:(Torsim.Onion.bogus_address k)
     end
     else begin
-      let k = Prng.Dist.zipf rng ~n:fetchable ~s:config.success_zipf in
+      let k = Prng.Dist.Zipf.draw success rng in
       let service = services.(k - 1) in
       Torsim.Engine.fetch_descriptor engine ~address:service.Torsim.Onion.address
     end

@@ -56,51 +56,64 @@ let family_members base =
     Hashtbl.replace tables base members;
     members
 
-let sample_host config rng =
-  let total =
-    config.w_onionoo +. config.w_amazon_www
-    +. List.fold_left (fun a (_, w) -> a +. w) 0.0 config.w_family
-    +. config.w_alexa +. config.w_tail
-  in
-  let x = Prng.Rng.float rng *. total in
-  let rec pick x =
-    if x < config.w_onionoo then Domains.onionoo
+(* A config with what every draw needs precomputed: the mixture's
+   weight sums and the two Zipf samplers. *)
+type sampler = {
+  config : config;
+  total : float;
+  family_total : float;
+  alexa : Prng.Dist.Zipf.t;
+  tail : Prng.Dist.Zipf.t;
+}
+
+let sampler config =
+  let family_total = List.fold_left (fun a (_, w) -> a +. w) 0.0 config.w_family in
+  {
+    config;
+    total = config.w_onionoo +. config.w_amazon_www +. family_total +. config.w_alexa +. config.w_tail;
+    family_total;
+    alexa = Prng.Dist.Zipf.create ~n:Domains.list_size ~s:config.alexa_exponent;
+    tail = Prng.Dist.Zipf.create ~n:config.tail_universe ~s:config.tail_exponent;
+  }
+
+let rec family rng x = function
+  | [] -> None
+  | (base, w) :: rest ->
+    if x < w then
+      let members = family_members base in
+      Some members.(Prng.Rng.below rng (Array.length members))
+    else family rng (x -. w) rest
+
+let rec pick p rng x =
+  let config = p.config in
+  if x < config.w_onionoo then Domains.onionoo
+  else
+    let x = x -. config.w_onionoo in
+    if x < config.w_amazon_www then "www.amazon.com"
     else
-      let x = x -. config.w_onionoo in
-      if x < config.w_amazon_www then "www.amazon.com"
-      else
-        let x = x -. config.w_amazon_www in
-        let rec families x = function
-          | [] -> None
-          | (base, w) :: rest ->
-            if x < w then
-              let members = family_members base in
-              Some members.(Prng.Rng.below rng (Array.length members))
-            else families (x -. w) rest
-        in
-        match families x config.w_family with
-        | Some host -> host
-        | None ->
-          let consumed = List.fold_left (fun a (_, w) -> a +. w) 0.0 config.w_family in
-          let x = x -. consumed in
-          if x < config.w_alexa then begin
-            (* Truncated Zipf over ranks 11..1M: the paper's rank buckets
-               show roughly equal mass per rank decade, and the top-10
-               sites get almost no generic Tor traffic beyond the
-               amazon/google anchors modelled explicitly above. *)
-            let rec rank () =
-              let r = Prng.Dist.zipf rng ~n:Domains.list_size ~s:config.alexa_exponent in
-              if r > 10 then r else rank ()
-            in
-            let host = Domains.name_of_rank (rank ()) in
-            if Prng.Rng.bernoulli rng config.www_prefix_prob then "www." ^ host else host
-          end
-          else if x < config.w_alexa +. config.w_tail then
-            Domains.tail_name
-              (Prng.Dist.zipf rng ~n:config.tail_universe ~s:config.tail_exponent - 1)
-          else pick 0.0 (* float rounding: retry from the top *)
-  in
-  pick x
+      let x = x -. config.w_amazon_www in
+      match family rng x config.w_family with
+      | Some host -> host
+      | None ->
+        let x = x -. p.family_total in
+        if x < config.w_alexa then begin
+          (* Truncated Zipf over ranks 11..1M: the paper's rank buckets
+             show roughly equal mass per rank decade, and the top-10
+             sites get almost no generic Tor traffic beyond the
+             amazon/google anchors modelled explicitly above. *)
+          let rank = ref (Prng.Dist.Zipf.draw p.alexa rng) in
+          while !rank <= 10 do
+            rank := Prng.Dist.Zipf.draw p.alexa rng
+          done;
+          let host = Domains.name_of_rank !rank in
+          if Prng.Rng.bernoulli rng config.www_prefix_prob then "www." ^ host else host
+        end
+        else if x < config.w_alexa +. config.w_tail then
+          Domains.tail_name (Prng.Dist.Zipf.draw p.tail rng - 1)
+        else pick p rng 0.0 (* float rounding: retry from the top *)
+
+let draw_host p rng = pick p rng (Prng.Rng.float rng *. p.total)
+let sample_host config rng = draw_host (sampler config) rng
 
 (* Rates the paper measured as statistically indistinguishable from
    zero: IP-literal initial streams and non-web ports. We include tiny
@@ -110,7 +123,7 @@ let ip_literal_prob = 0.0005
 let ipv6_given_literal = 0.2
 let other_port_prob = 0.001
 
-let sample config rng =
+let draw p rng =
   if Prng.Rng.bernoulli rng ip_literal_prob then
     let dest =
       if Prng.Rng.bernoulli rng ipv6_given_literal then Torsim.Event.Ipv6_literal
@@ -118,7 +131,7 @@ let sample config rng =
     in
     { host = ""; port = (if Prng.Rng.bool rng then 443 else 80); dest }
   else
-    let host = sample_host config rng in
+    let host = draw_host p rng in
     let port =
       if Prng.Rng.bernoulli rng other_port_prob then
         if Prng.Rng.bool rng then 22 else 8080
@@ -126,3 +139,5 @@ let sample config rng =
       else 80
     in
     { host; port; dest = Torsim.Event.Hostname host }
+
+let sample config rng = draw (sampler config) rng

@@ -23,10 +23,19 @@ val paper_config : config
 
 type sample = { host : string; port : int; dest : Torsim.Event.dest }
 
-val sample : config -> Prng.Rng.t -> sample
+type sampler
+(** A config with its weight sums and Zipf samplers precomputed: build
+    it once per run, not per draw. *)
+
+val sampler : config -> sampler
+
+val draw : sampler -> Prng.Rng.t -> sample
 (** Draw one primary-domain visit (hostname, port, literal-vs-hostname).
     IPv4/IPv6 literals and non-web ports appear with the tiny rates the
     paper found statistically insignificant. *)
+
+val sample : config -> Prng.Rng.t -> sample
+(** [draw (sampler config)]: the same draws, with the setup per call. *)
 
 val sample_host : config -> Prng.Rng.t -> string
 (** Just the hostname (always a hostname destination). *)

@@ -212,6 +212,52 @@ let test_invalid_arguments () =
     (Invalid_argument "Dist.log_factorial: negative argument") (fun () ->
       ignore (Prng.Dist.log_factorial (-1)))
 
+(* NaN fails every comparison, so guards written as [x <= 0.0] let it
+   through: zipf looped forever, poisson/geometric/binomial returned 0. *)
+let test_nan_parameters () =
+  let rng = Prng.Rng.create 1 in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: NaN accepted" name
+  in
+  raises "zipf s" (fun () -> Prng.Dist.zipf rng ~n:10 ~s:nan);
+  raises "Zipf.create s" (fun () -> ignore (Prng.Dist.Zipf.create ~n:10 ~s:nan); 0);
+  raises "poisson lambda" (fun () -> Prng.Dist.poisson rng ~lambda:nan);
+  raises "geometric p" (fun () -> Prng.Dist.geometric rng ~p:nan);
+  raises "binomial p" (fun () -> Prng.Dist.binomial rng ~n:10 ~p:nan);
+  raises "binomial p, skipping branch" (fun () -> Prng.Dist.binomial rng ~n:1000 ~p:nan);
+  raises "exponential rate" (fun () -> int_of_float (Prng.Dist.exponential rng ~rate:nan))
+
+(* Where 1 - p rounds to 1, log (1 - p) is 0: geometric returned 0 and
+   the skipping binomial never advanced correctly. The mean of
+   geometric(p) is (1 - p) / p. *)
+let test_tiny_p () =
+  let rng = Prng.Rng.create 2 in
+  let p = 1e-17 in
+  let n = 2000 in
+  let sum = ref 0.0 in
+  for _ = 1 to n do
+    let g = Prng.Dist.geometric rng ~p in
+    if g < 0 then Alcotest.fail "negative geometric";
+    sum := !sum +. float_of_int g
+  done;
+  let mean = !sum /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "geometric 1e-17 mean %g near 1e17" mean) true
+    (abs_float (mean -. 1e17) < 0.15e17);
+  Alcotest.(check int) "saturates at max_int" max_int
+    (let rec first_saturated () =
+       let g = Prng.Dist.geometric rng ~p:1e-300 in
+       if g = max_int then g else first_saturated ()
+     in
+     first_saturated ());
+  let lo = ref 0 and hi = ref 0 in
+  for _ = 1 to 100 do
+    lo := !lo + Prng.Dist.binomial rng ~n:1000 ~p;
+    hi := !hi + Prng.Dist.binomial rng ~n:1000 ~p:(1.0 -. p)
+  done;
+  Alcotest.(check (pair int int)) "binomial where 1 - p rounds to 1" (0, 100_000) (!lo, !hi)
+
 let test_below_one_always_zero () =
   let rng = Prng.Rng.create 2 in
   for _ = 1 to 100 do
@@ -355,6 +401,58 @@ let test_golden_streams () =
       Alcotest.(check string) name expected (stream_digest (stream (Prng.Rng.create 42))))
     golden_streams
 
+(* The sampler reproduces [Dist.zipf]'s golden streams draw for draw,
+   with its per-rank table (n <= 65536) and without it. *)
+let test_zipf_sampler_streams () =
+  List.iter
+    (fun (name, n, s) ->
+      let expected = List.find_map (fun (m, d, _) -> if m = name then Some d else None) golden_streams in
+      let z = Prng.Dist.Zipf.create ~n ~s and r = Prng.Rng.create 42 in
+      Alcotest.(check (option string)) name expected
+        (Some (stream_digest (of_int (fun () -> Prng.Dist.Zipf.draw z r)))))
+    [ ("zipf 40 1.2", 40, 1.2); ("zipf 1000 1.1", 1000, 1.1); ("zipf 1e6 1.0", 1_000_000, 1.0);
+      ("zipf 3e6 0.85", 3_000_000, 0.85) ]
+
+(* The per-rank table changes no draw, including for s < 1, where some
+   uniforms fall outside h_inv's domain and are rejected. *)
+let test_zipf_table_matches () =
+  List.iter
+    (fun (n, s) ->
+      let z = Prng.Dist.Zipf.create ~n ~s in
+      let a = Prng.Rng.create 9 and b = Prng.Rng.create 9 in
+      Alcotest.(check string) (Printf.sprintf "n=%d s=%g" n s)
+        (stream_digest (of_int (fun () -> Prng.Dist.zipf a ~n ~s)))
+        (stream_digest (of_int (fun () -> Prng.Dist.Zipf.draw z b))))
+    [ (2, 0.3); (40, 1.2); (1000, 0.6); (2250, 0.3); (50_000, 0.5); (100, 1.0); (100, 2.5);
+      (65_536, 0.1) ]
+
+(* --- allocation --- *)
+
+(* Minor words allocated per call of [f], measured on the test's own
+   domain: Gc counters are per domain. *)
+let words_per_call f =
+  let calls = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let check_words name bound f =
+  let w = words_per_call f in
+  Alcotest.(check bool) (Printf.sprintf "%s: %.3f minor words/call <= %g" name w bound) true (w <= bound)
+
+let test_rng_allocation () =
+  let rng = Prng.Rng.create 5 in
+  check_words "bits" 0.01 (fun () -> ignore (Prng.Rng.bits rng));
+  check_words "below 17" 0.01 (fun () -> ignore (Prng.Rng.below rng 17));
+  check_words "bool" 0.01 (fun () -> ignore (Prng.Rng.bool rng))
+
+let test_zipf_allocation () =
+  let rng = Prng.Rng.create 5 in
+  let z = Prng.Dist.Zipf.create ~n:40 ~s:1.2 in
+  check_words "Zipf.draw n=40" 0.01 (fun () -> ignore (Prng.Dist.Zipf.draw z rng))
+
 (* --- qcheck properties --- *)
 
 let prop_below_in_range =
@@ -417,6 +515,8 @@ let () =
       ( "edge_cases",
         [
           Alcotest.test_case "invalid arguments" `Quick test_invalid_arguments;
+          Alcotest.test_case "nan parameters" `Quick test_nan_parameters;
+          Alcotest.test_case "tiny p" `Quick test_tiny_p;
           Alcotest.test_case "below 1" `Quick test_below_one_always_zero;
           Alcotest.test_case "below large n" `Quick test_below_large_n;
         ] );
@@ -431,6 +531,13 @@ let () =
         [
           Alcotest.test_case "known answer" `Quick test_known_answer;
           Alcotest.test_case "streams" `Quick test_golden_streams;
+          Alcotest.test_case "zipf sampler streams" `Quick test_zipf_sampler_streams;
+          Alcotest.test_case "zipf table changes no draw" `Quick test_zipf_table_matches;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "rng primitives" `Quick test_rng_allocation;
+          Alcotest.test_case "zipf sampler" `Quick test_zipf_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
