@@ -8,15 +8,71 @@
      determinism/wall-clock     Sys.time, Unix.* (pass time in explicitly)
      determinism/unseeded-hash  Hashtbl.hash and friends (process-varying)
      determinism/hashtbl-order  Hashtbl.iter/fold whose result is not
-                                re-sorted before it escapes *)
+                                re-sorted before it escapes
+     determinism/draw-order     two or more arguments of one application
+                                (or components of one tuple, record or
+                                array literal) draw from Rng/Dist/Drbg:
+                                OCaml leaves their evaluation order
+                                unspecified (ocamlopt goes right to
+                                left), so the stream order is an
+                                accident of the compiler *)
 
 let hash_fns =
   [ "Hashtbl.hash"; "Hashtbl.seeded_hash"; "Hashtbl.hash_param"; "Hashtbl.randomize" ]
 
 let laundered_by_sort = Rule.laundered_by_sort
 
+let draw_modules = [ "Rng"; "Dist"; "Drbg" ]
+
+(* [Prng.Dist.Zipf.draw] draws: some module on the path is a draw
+   module. Constructors ([Rng.create], [Dist.Zipf.create]) read no
+   stream. *)
+let is_draw name =
+  match List.rev (String.split_on_char '.' name) with
+  | "create" :: _ | [] -> false
+  | _ :: modules -> List.exists (fun m -> List.mem m draw_modules) modules
+
+(* Does evaluating [e] itself call a draw? The bodies of functions and
+   lazy values run later, so they do not count. *)
+let draws e =
+  let found = ref false in
+  let default = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
+    | Pexp_apply (f, _) when Option.fold ~none:false ~some:is_draw (Rule.ident_name f) ->
+      found := true
+    | _ -> default.Ast_iterator.expr it e
+  in
+  let it = { default with Ast_iterator.expr } in
+  it.Ast_iterator.expr it e;
+  !found
+
+(* The components evaluated in unspecified order; [&&] and [||] are
+   evaluated left to right. *)
+let unordered_components (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_apply (f, _) when List.mem (Rule.ident_name f) [ Some "&&"; Some "||" ] -> []
+  | Pexp_apply (_, args) -> List.map snd args
+  | Pexp_tuple es | Pexp_array es -> es
+  | Pexp_record (fields, base) -> Option.to_list base @ List.map snd fields
+  | _ -> []
+
+let check_draw_order (ctx : Rule.ctx) (e : Parsetree.expression) =
+  let n = List.length (List.filter draws (unordered_components e)) in
+  if n >= 2 then
+    Rule.emit ctx ~rule_id:"determinism/draw-order" ~severity:Diagnostic.Error
+      ~message:
+        (Printf.sprintf
+           "%d components of this expression draw from Rng/Dist/Drbg in an \
+            evaluation order OCaml leaves unspecified; let-bind the draws in \
+            the intended order"
+           n)
+      e.pexp_loc
+
 let check (ctx : Rule.ctx) structure =
   Rule.iter_expressions structure ~f:(fun ~ancestors e ->
+      check_draw_order ctx e;
       match Rule.ident_name e with
       | None -> ()
       | Some name ->
@@ -48,8 +104,9 @@ let rule : Rule.t =
   {
     Rule.id = "determinism";
     doc =
-      "bans ambient RNGs, wall clocks, unseeded hashing and unordered Hashtbl \
-       iteration in the aggregation libraries";
+      "bans ambient RNGs, wall clocks, unseeded hashing, unordered Hashtbl \
+       iteration and draws in unspecified evaluation order in the aggregation \
+       and simulation libraries";
     applies =
       (fun config ~path -> Config.in_paths path (Config.scope_of config "determinism"));
     check;

@@ -63,6 +63,42 @@ let test_determinism_scope_directive () =
   check_flags "widened scope" ~rule:"determinism/hashtbl-order"
     (lint ~config ~path:"lib/workload/fixture.ml" bad)
 
+(* Two draws in one application, tuple, record or array literal: the
+   stream order depends on the compiler's evaluation order. *)
+let test_determinism_draw_order () =
+  let config =
+    match Config.of_string "scope determinism lib/workload" with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let lint = lint ~config ~path:"lib/workload/fixture.ml" in
+  let flagged msg src = check_flags msg ~rule:"determinism/draw-order" (lint src) in
+  flagged "application"
+    "let host rng =\n\
+    \  Printf.sprintf \"cdn%d.t%d.com\" (Prng.Dist.zipf rng ~n:40 ~s:1.2)\n\
+    \    (Prng.Dist.zipf rng ~n:40 ~s:1.2)";
+  flagged "infix operator" "let d rng = Prng.Rng.float rng -. Prng.Rng.float rng";
+  flagged "labelled arguments" "let v rng = make ~a:(Rng.bits rng) ~b:(Rng.bits rng)";
+  flagged "tuple" "let pair rng = (Prng.Rng.bits rng, Prng.Rng.below rng 7)";
+  flagged "record" "let p rng = { x = Rng.float rng; y = Dist.normal rng ~mu:0.0 ~sigma:1.0 }";
+  flagged "array" "let a d = [| Crypto.Drbg.uniform d 5; Crypto.Drbg.uniform d 5 |]";
+  flagged "nested draws" "let h z rng = f (g (Dist.Zipf.draw z rng)) (Rng.bool rng)";
+  let clean msg src = check_clean msg (lint src) in
+  clean "let-bound in order"
+    "let host z rng =\n\
+    \  let t = Prng.Dist.Zipf.draw z rng in\n\
+    \  let c = Prng.Dist.Zipf.draw z rng in\n\
+    \  hosts.(c).(t)";
+  clean "one draw among the arguments" "let v rng = f (Rng.bits rng) (g 3) x";
+  clean "draws under closures" "let fs rng = (fun () -> Rng.bits rng), fun () -> Rng.bits rng";
+  clean "draws in a lazy value" "let l rng = (lazy (Rng.bits rng), Rng.bits rng)";
+  clean "short-circuit operators" "let b rng = Rng.bool rng && (Rng.bool rng || Rng.bool rng)";
+  clean "constructors read no stream" "let gens () = (Rng.create 1, Dist.Zipf.create ~n:4 ~s:1.0)";
+  clean "draw as argument of a draw" "let v rng = Rng.below rng (1 + Rng.bits rng)";
+  check_clean "out of scope"
+    (Engine.lint_source Config.default ~path:"lib/torsim/fixture.ml"
+       "let pair rng = (Prng.Rng.bits rng, Prng.Rng.bits rng)")
+
 (* --- polymorphic compare --- *)
 
 let test_polycompare () =
@@ -553,6 +589,7 @@ let () =
           Alcotest.test_case "hashtbl order" `Quick test_determinism_hashtbl_order;
           Alcotest.test_case "ambient sources" `Quick test_determinism_ambient_sources;
           Alcotest.test_case "scope directive" `Quick test_determinism_scope_directive;
+          Alcotest.test_case "draw order" `Quick test_determinism_draw_order;
         ] );
       ("polycompare", [ Alcotest.test_case "structural eq" `Quick test_polycompare ]);
       ("privflow",
