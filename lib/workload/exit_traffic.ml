@@ -33,9 +33,8 @@ let cdn_hosts =
   Array.init 41 (fun a -> Array.init 41 (fun b -> Printf.sprintf "cdn%d.t%d.com" a b))
 
 let third_party_host rng =
-  (* The t-rank is drawn first: the streams were fixed when both ranks
-     were arguments of one application, which OCaml evaluates right to
-     left. *)
+  (* The t-rank is drawn before the cdn-rank: the recorded streams (and
+     the golden segment digests that pin them) draw in that order. *)
   let t = Prng.Dist.Zipf.draw cdn_zipf rng in
   let cdn = Prng.Dist.Zipf.draw cdn_zipf rng in
   cdn_hosts.(cdn).(t)

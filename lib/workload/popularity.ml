@@ -76,44 +76,45 @@ let sampler config =
     tail = Prng.Dist.Zipf.create ~n:config.tail_universe ~s:config.tail_exponent;
   }
 
-let rec family rng x = function
-  | [] -> None
-  | (base, w) :: rest ->
-    if x < w then
-      let members = family_members base in
-      Some members.(Prng.Rng.below rng (Array.length members))
-    else family rng (x -. w) rest
-
-let rec pick p rng x =
+let draw_host p rng =
   let config = p.config in
-  if x < config.w_onionoo then Domains.onionoo
-  else
-    let x = x -. config.w_onionoo in
-    if x < config.w_amazon_www then "www.amazon.com"
+  let x = Prng.Rng.float rng *. p.total in
+  let rec pick x =
+    if x < config.w_onionoo then Domains.onionoo
     else
-      let x = x -. config.w_amazon_www in
-      match family rng x config.w_family with
-      | Some host -> host
-      | None ->
-        let x = x -. p.family_total in
-        if x < config.w_alexa then begin
-          (* Truncated Zipf over ranks 11..1M: the paper's rank buckets
-             show roughly equal mass per rank decade, and the top-10
-             sites get almost no generic Tor traffic beyond the
-             amazon/google anchors modelled explicitly above. *)
-          let rank = ref (Prng.Dist.Zipf.draw p.alexa rng) in
-          while !rank <= 10 do
-            rank := Prng.Dist.Zipf.draw p.alexa rng
-          done;
-          let host = Domains.name_of_rank !rank in
-          if Prng.Rng.bernoulli rng config.www_prefix_prob then "www." ^ host else host
-        end
-        else if x < config.w_alexa +. config.w_tail then
-          Domains.tail_name (Prng.Dist.Zipf.draw p.tail rng - 1)
-        else pick p rng 0.0 (* float rounding: retry from the top *)
-
-let draw_host p rng = pick p rng (Prng.Rng.float rng *. p.total)
-let sample_host config rng = draw_host (sampler config) rng
+      let x = x -. config.w_onionoo in
+      if x < config.w_amazon_www then "www.amazon.com"
+      else
+        let x = x -. config.w_amazon_www in
+        let rec families x = function
+          | [] -> None
+          | (base, w) :: rest ->
+            if x < w then
+              let members = family_members base in
+              Some members.(Prng.Rng.below rng (Array.length members))
+            else families (x -. w) rest
+        in
+        match families x config.w_family with
+        | Some host -> host
+        | None ->
+          let x = x -. p.family_total in
+          if x < config.w_alexa then begin
+            (* Truncated Zipf over ranks 11..1M: the paper's rank buckets
+               show roughly equal mass per rank decade, and the top-10
+               sites get almost no generic Tor traffic beyond the
+               amazon/google anchors modelled explicitly above. *)
+            let rec rank () =
+              let r = Prng.Dist.Zipf.draw p.alexa rng in
+              if r > 10 then r else rank ()
+            in
+            let host = Domains.name_of_rank (rank ()) in
+            if Prng.Rng.bernoulli rng config.www_prefix_prob then "www." ^ host else host
+          end
+          else if x < config.w_alexa +. config.w_tail then
+            Domains.tail_name (Prng.Dist.Zipf.draw p.tail rng - 1)
+          else pick 0.0 (* float rounding: retry from the top *)
+  in
+  pick x
 
 (* Rates the paper measured as statistically indistinguishable from
    zero: IP-literal initial streams and non-web ports. We include tiny
@@ -139,5 +140,3 @@ let draw p rng =
       else 80
     in
     { host; port; dest = Torsim.Event.Hostname host }
-
-let sample config rng = draw (sampler config) rng

@@ -34,8 +34,5 @@ val draw : sampler -> Prng.Rng.t -> sample
     IPv4/IPv6 literals and non-web ports appear with the tiny rates the
     paper found statistically insignificant. *)
 
-val sample : config -> Prng.Rng.t -> sample
-(** [draw (sampler config)]: the same draws, with the setup per call. *)
-
-val sample_host : config -> Prng.Rng.t -> string
+val draw_host : sampler -> Prng.Rng.t -> string
 (** Just the hostname (always a hostname destination). *)

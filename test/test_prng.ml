@@ -230,8 +230,8 @@ let test_nan_parameters () =
   raises "exponential rate" (fun () -> int_of_float (Prng.Dist.exponential rng ~rate:nan))
 
 (* Where 1 - p rounds to 1, log (1 - p) is 0: geometric returned 0 and
-   the skipping binomial never advanced correctly. The mean of
-   geometric(p) is (1 - p) / p. *)
+   the skipping binomial returned n. The mean of geometric(p) is
+   (1 - p) / p. *)
 let test_tiny_p () =
   let rng = Prng.Rng.create 2 in
   let p = 1e-17 in
@@ -251,12 +251,11 @@ let test_tiny_p () =
        if g = max_int then g else first_saturated ()
      in
      first_saturated ());
-  let lo = ref 0 and hi = ref 0 in
+  let successes = ref 0 in
   for _ = 1 to 100 do
-    lo := !lo + Prng.Dist.binomial rng ~n:1000 ~p;
-    hi := !hi + Prng.Dist.binomial rng ~n:1000 ~p:(1.0 -. p)
+    successes := !successes + Prng.Dist.binomial rng ~n:1000 ~p
   done;
-  Alcotest.(check (pair int int)) "binomial where 1 - p rounds to 1" (0, 100_000) (!lo, !hi)
+  Alcotest.(check int) "binomial where 1 - p rounds to 1" 0 !successes
 
 let test_below_one_always_zero () =
   let rng = Prng.Rng.create 2 in
@@ -401,20 +400,10 @@ let test_golden_streams () =
       Alcotest.(check string) name expected (stream_digest (stream (Prng.Rng.create 42))))
     golden_streams
 
-(* The sampler reproduces [Dist.zipf]'s golden streams draw for draw,
-   with its per-rank table (n <= 65536) and without it. *)
-let test_zipf_sampler_streams () =
-  List.iter
-    (fun (name, n, s) ->
-      let expected = List.find_map (fun (m, d, _) -> if m = name then Some d else None) golden_streams in
-      let z = Prng.Dist.Zipf.create ~n ~s and r = Prng.Rng.create 42 in
-      Alcotest.(check (option string)) name expected
-        (Some (stream_digest (of_int (fun () -> Prng.Dist.Zipf.draw z r)))))
-    [ ("zipf 40 1.2", 40, 1.2); ("zipf 1000 1.1", 1000, 1.1); ("zipf 1e6 1.0", 1_000_000, 1.0);
-      ("zipf 3e6 0.85", 3_000_000, 0.85) ]
-
-(* The per-rank table changes no draw, including for s < 1, where some
-   uniforms fall outside h_inv's domain and are rejected. *)
+(* [Zipf.draw] makes [Dist.zipf]'s draws (whose streams are pinned
+   above): its per-rank table (n <= 65536) changes no draw, including
+   for s < 1, where some uniforms fall outside h_inv's domain and are
+   rejected. *)
 let test_zipf_table_matches () =
   List.iter
     (fun (n, s) ->
@@ -423,8 +412,8 @@ let test_zipf_table_matches () =
       Alcotest.(check string) (Printf.sprintf "n=%d s=%g" n s)
         (stream_digest (of_int (fun () -> Prng.Dist.zipf a ~n ~s)))
         (stream_digest (of_int (fun () -> Prng.Dist.Zipf.draw z b))))
-    [ (2, 0.3); (40, 1.2); (1000, 0.6); (2250, 0.3); (50_000, 0.5); (100, 1.0); (100, 2.5);
-      (65_536, 0.1) ]
+    [ (2, 0.3); (40, 1.2); (1000, 1.1); (1000, 0.6); (2250, 0.3); (50_000, 0.5); (100, 1.0);
+      (100, 2.5); (65_536, 0.1); (1_000_000, 1.0) ]
 
 (* --- allocation --- *)
 
@@ -531,7 +520,6 @@ let () =
         [
           Alcotest.test_case "known answer" `Quick test_known_answer;
           Alcotest.test_case "streams" `Quick test_golden_streams;
-          Alcotest.test_case "zipf sampler streams" `Quick test_zipf_sampler_streams;
           Alcotest.test_case "zipf table changes no draw" `Quick test_zipf_table_matches;
         ] );
       ( "allocation",

@@ -120,7 +120,7 @@ let count_hosts n f =
 
 let test_popularity_shares () =
   let n = 40_000 in
-  let tbl = count_hosts n (Popularity.sample_host Popularity.paper_config) in
+  let tbl = count_hosts n (Popularity.draw_host (Popularity.sampler Popularity.paper_config)) in
   let share host =
     float_of_int (Option.value ~default:0 (Hashtbl.find_opt tbl host)) /. float_of_int n
   in
@@ -137,7 +137,7 @@ let test_popularity_shares () =
 
 let test_popularity_tail_share () =
   let n = 20_000 in
-  let tbl = count_hosts n (Popularity.sample_host Popularity.paper_config) in
+  let tbl = count_hosts n (Popularity.draw_host (Popularity.sampler Popularity.paper_config)) in
   let tail = ref 0 in
   Hashtbl.iter (fun host c -> if Domains.is_tail_name host then tail := !tail + c) tbl;
   let share = float_of_int !tail /. float_of_int n in
@@ -148,9 +148,10 @@ let test_popularity_tail_share () =
 
 let test_popularity_sample_ports () =
   let r = rng () in
+  let p = Popularity.sampler Popularity.paper_config in
   let web = ref 0 and other = ref 0 and literal = ref 0 in
   for _ = 1 to 20_000 do
-    let s = Popularity.sample Popularity.paper_config r in
+    let s = Popularity.draw p r in
     (match s.Popularity.dest with
     | Torsim.Event.Hostname _ -> ()
     | Torsim.Event.Ipv4_literal | Torsim.Event.Ipv6_literal -> incr literal);
