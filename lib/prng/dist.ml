@@ -1,6 +1,5 @@
-(* [Rng.float] and [Rng.float_pos], computed here from [Rng.bits] (see
-   rng.mli): a float returned across the module boundary is boxed, an
-   int is not, so the samplers below allocate nothing per draw. *)
+(* [Rng.float] and [Rng.float_pos] from [Rng.bits] (rng.mli): a float
+   returned across a module boundary is boxed, an int is not. *)
 let[@inline] uniform rng = float_of_int (Rng.bits rng lsr 9) *. 0x1.0p-53
 let[@inline] uniform_pos rng = 1.0 -. uniform rng
 
@@ -72,11 +71,7 @@ let binomial rng ~n ~p =
       while !i < n do
         (* the next success is trial i + k + 1, if that is within n *)
         let k = skip rng log1q in
-        if k < n - !i then begin
-          incr count;
-          i := !i + k + 1
-        end
-        else i := n
+        if k < n - !i then (incr count; i := !i + k + 1) else i := n
       done;
       if p <= 0.5 then !count else n - !count
     end

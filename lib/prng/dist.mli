@@ -1,14 +1,13 @@
 (** Random variate generation for the distributions used by the noise
     mechanisms (normal, binomial) and the synthetic workloads (zipf,
-    poisson, exponential, geometric). *)
+    poisson, exponential, geometric). NaN parameters raise
+    [Invalid_argument]. *)
 
 val normal : Rng.t -> mu:float -> sigma:float -> float
 (** Gaussian variate (Marsaglia polar method). *)
 
 val exponential : Rng.t -> rate:float -> float
-(** Exponential variate with rate [rate] > 0.
-
-    Every sampler here raises [Invalid_argument] on a NaN parameter. *)
+(** Exponential variate with rate [rate] > 0. *)
 
 val poisson : Rng.t -> lambda:float -> int
 (** Poisson variate; exact (Knuth) for small lambda, normal

@@ -1,12 +1,7 @@
-(* xoshiro256** (Blackman & Vigna 2018): the workhorse generator for the
-   simulator. 256 bits of state, period 2^256 - 1, passes BigCrush.
-
-   The four state words live in a 32-byte [Bytes.t], read and written
-   with the unboxed 64-bit bytes primitives: a record of [mutable int64]
-   fields would box a fresh Int64 on every store. [next] is defined in
-   this module and marked [@inline] so that every primitive below
-   consumes its result unboxed; without flambda, ocamlopt does not
-   inline it across a module boundary, and [bits] would box again. *)
+(* xoshiro256** (Blackman & Vigna 2018), period 2^256 - 1. The state is
+   32 unboxed bytes: [mutable int64] fields would box on every store.
+   [next] lives here and is [@inline]: without flambda, ocamlopt does not
+   inline across modules, and [bits] would box its result again. *)
 
 type t = Bytes.t
 

@@ -1,12 +1,8 @@
 (** Deterministic seeded random number generator used throughout the
     simulator and the measurement protocols. All experiment runs are
-    reproducible given a seed.
-
-    The generator is xoshiro256** (Blackman & Vigna), its state
-    expanded from the seed by SplitMix64. The 256-bit state is held
-    unboxed, so [bits], [below], [bool] and [bernoulli] allocate
-    nothing; [int64], [float] and [float_pos] return a boxed value to a
-    caller in another module. *)
+    reproducible given a seed. xoshiro256**, seeded by SplitMix64, with
+    unboxed state: [bits], [below], [bool] and [bernoulli] allocate
+    nothing. *)
 
 type t
 
@@ -33,9 +29,8 @@ val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on [lo, hi] inclusive. *)
 
 val float : t -> float
-(** Uniform on [0, 1): the top 53 bits of one output, exactly
-    [float_of_int (bits t lsr 9) *. 0x1.0p-53]. Samplers in other
-    modules compute it that way to keep the float unboxed. *)
+(** Uniform on [0, 1): exactly [float_of_int (bits t lsr 9) *. 0x1.0p-53],
+    which samplers in other modules compute to keep the float unboxed. *)
 
 val float_pos : t -> float
 (** Uniform on (0, 1]; safe as a log argument. *)
