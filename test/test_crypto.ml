@@ -579,6 +579,120 @@ let test_dleq_batch_with_table () =
     (Sigma.dleq_verify_batch ~public1_tab ~public1 ~context:"other" ~statements proofs
     <> Batch_verify.Accepted)
 
+(* --- known answers: hashed bytes, DRBG lanes and proof bytes --- *)
+
+(* MD5 of the bytes a computation produced: an independent hash, so a
+   changed SHA-256 kernel cannot also change the value it is checked
+   against. *)
+let md5_hex s = Digest.to_hex (Digest.string s)
+
+let kat_message len = String.init len (fun i -> Char.chr (((i * 7) + 3) land 0xff))
+
+let test_sha256_lengths_golden () =
+  (* every length 0..200 crosses each padding case (one block, length
+     spilling into a second block, exact block multiples) *)
+  let digests = Buffer.create (201 * 32) in
+  for len = 0 to 200 do
+    Buffer.add_string digests (Sha256.digest (kat_message len))
+  done;
+  Alcotest.(check string) "digest of digests, lengths 0..200" "4bd8efd77135ae0980b8994d482fcff5"
+    (md5_hex (Buffer.contents digests));
+  List.iter
+    (fun (len, want) ->
+      Alcotest.(check string) (Printf.sprintf "length %d" len) want
+        (Sha256.hex (kat_message len)))
+    [ (55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"); (56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"); (63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"); (64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"); (119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e");
+      (120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5") ]
+
+let test_sha256_every_split () =
+  let msg = kat_message 200 in
+  let whole = Sha256.digest msg in
+  for cut = 0 to String.length msg do
+    let ctx = Sha256.init () in
+    Sha256.update ctx (String.sub msg 0 cut);
+    Sha256.update ctx (String.sub msg cut (String.length msg - cut));
+    if not (String.equal (Sha256.finalize ctx) whole) then
+      Alcotest.failf "split at %d changes the digest" cut
+  done;
+  let ctx = Sha256.init () in
+  String.iter (fun c -> Sha256.update ctx (String.make 1 c)) msg;
+  Alcotest.(check string) "byte at a time" (Sha256.to_hex whole) (Sha256.to_hex (Sha256.finalize ctx))
+
+let test_sha256_million_a_one_shot () =
+  Alcotest.(check string) "FIPS 180-4 million a, one update"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.hex (String.make 1_000_000 'a'))
+
+(* A bound that rejects ~20% of 4-byte lanes: 2^32 mod n is n - 4. *)
+let rejecting_bound = 858_993_460
+
+let ints_bytes b a = Array.iter (fun v -> Buffer.add_string b (string_of_int v ^ ",")) a
+
+let test_drbg_stream_golden () =
+  let d = Drbg.create ~personalization:"kat" "drbg-golden-seed" in
+  let b = Buffer.create 80_000 in
+  let gen n = Buffer.add_string b (Drbg.generate d n) in
+  gen 1;
+  gen 31;
+  Drbg.reseed d "reseed-1";
+  gen 32;
+  Buffer.add_string b (string_of_int (Drbg.uniform d 1000) ^ ",");
+  gen 33;
+  ints_bytes b (Drbg.uniform_array d Group.q 100);
+  gen 4096;
+  ints_bytes b (Drbg.uniform_lanes d (fun k -> 100 - k) 99);
+  Drbg.reseed d "reseed-2";
+  gen 65536;
+  Buffer.add_string b (Int64.to_string (Drbg.uniform64 d) ^ ",");
+  ints_bytes b (Drbg.uniform_array d ((1 lsl 31) + 17) 10);
+  ints_bytes b (Drbg.uniform_array d rejecting_bound 16);
+  ints_bytes b
+    (Drbg.uniform_lanes d (fun k -> if k land 1 = 0 then rejecting_bound else k + 2) 16);
+  Buffer.add_string b (string_of_int (Drbg.uniform d max_int));
+  Alcotest.(check string) "interleaved stream" "d4515e90928b5dc2a1ca042fdc4c553f" (md5_hex (Buffer.contents b));
+  (* the rejecting bound really does reject: a twin stream's raw lanes
+     hold at least one value above the acceptance limit *)
+  let limit = (1 lsl 32) - 1 - ((1 lsl 32) mod rejecting_bound) in
+  let raw = Drbg.generate (Drbg.create "rejecting-twin") 64 in
+  let rejected = ref 0 in
+  for i = 0 to 15 do
+    if Int32.to_int (String.get_int32_be raw (4 * i)) land 0xFFFF_FFFF > limit then incr rejected
+  done;
+  Alcotest.(check bool) "twin has a rejected lane" true (!rejected > 0);
+  Alcotest.(check string) "rejecting draw" "9a19783474b73735c17831eac2da3d13"
+    (let b = Buffer.create 256 in
+     ints_bytes b (Drbg.uniform_array (Drbg.create "rejecting-twin") rejecting_bound 16);
+     md5_hex (Buffer.contents b))
+
+let test_proof_bytes_golden () =
+  let d = Drbg.create "proof-bytes-golden" in
+  let sk, pk = Elgamal.keygen d in
+  let input = Array.init 24 (fun i -> Elgamal.encrypt d pk (if i mod 3 = 0 then Elgamal.marker else Elgamal.one)) in
+  let output, proof = Shuffle.shuffle ~rounds:4 d pk input in
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun ct ->
+      ints_bytes b [| Group.elt_to_int ct.Elgamal.c1; Group.elt_to_int ct.Elgamal.c2 |])
+    output;
+  ints_bytes b (Shuffle.proof_to_ints proof);
+  Alcotest.(check string) "shuffle output and proof" "a7b3806a50f88034934fad05707dea31" (md5_hex (Buffer.contents b));
+  let b = Buffer.create 4096 in
+  for i = 0 to 7 do
+    let ct, pr = Bit_proof.encrypt_bit_proven d ~pk (i land 1 = 1) in
+    ints_bytes b [| Group.elt_to_int ct.Elgamal.c1; Group.elt_to_int ct.Elgamal.c2 |];
+    ints_bytes b (Bit_proof.to_ints pr)
+  done;
+  Alcotest.(check string) "bit proofs" "e332f00eb01dacf8bc98d760d94be165" (md5_hex (Buffer.contents b));
+  let b = Buffer.create 256 in
+  for _ = 1 to 4 do
+    let base2 = Group.random_elt d in
+    let { Sigma.a1; a2; z } = Sigma.dleq_prove d ~secret:sk ~base2 ~context:"kat" in
+    ints_bytes b [| Group.elt_to_int a1; Group.elt_to_int a2; Group.exp_to_int z |]
+  done;
+  let { Sigma.commitment; response } = Sigma.schnorr_prove d ~secret:sk ~context:"kat" in
+  ints_bytes b [| Group.elt_to_int commitment; Group.exp_to_int response |];
+  Alcotest.(check string) "dleq and schnorr proofs" "73212293d0395237a4d1037e21573805" (md5_hex (Buffer.contents b))
+
 (* --- qcheck properties --- *)
 
 let prop_multi_exp_matches_naive =
@@ -761,6 +875,14 @@ let () =
           Alcotest.test_case "reuse rejected" `Quick test_sha256_reuse_rejected;
         ] );
       ("hmac", [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors ]);
+      ( "golden",
+        [
+          Alcotest.test_case "sha256 lengths 0-200" `Quick test_sha256_lengths_golden;
+          Alcotest.test_case "sha256 every split" `Quick test_sha256_every_split;
+          Alcotest.test_case "sha256 million a one shot" `Quick test_sha256_million_a_one_shot;
+          Alcotest.test_case "drbg stream" `Quick test_drbg_stream_golden;
+          Alcotest.test_case "proof bytes" `Quick test_proof_bytes_golden;
+        ] );
       ( "drbg",
         [
           Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
