@@ -282,7 +282,7 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "Replay a recorded event trace straight into the ingestion sink — no torsim, no \
-          workload sampling, no per-event allocation — on the parallel pool, merged in \
+          workload sampling, under one byte allocated per event — on the parallel pool, merged in \
           shard order. Tallies are byte-identical to the live run at any $(b,--jobs). \
           Exits 2 when $(b,--verify) detects a mismatch against the recorded headers.")
     Term.(const run $ prefix_arg $ verify_arg $ repeat_arg $ jobs_arg

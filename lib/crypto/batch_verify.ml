@@ -35,22 +35,12 @@ type outcome = Accepted | Rejected of int list
 let weights ~context ~transcript ~lanes n =
   if lanes < 0 || n < 0 then invalid_arg "Batch_verify.weights: negative count";
   let drbg =
-    Drbg.create ~personalization:("batch-verify|" ^ context) (Sha256.digest transcript)
+    Drbg.create ~personalization:("batch-verify|" ^ context) (Sha256.finalize transcript)
   in
   (* one bulk draw for every lane, nonzero by construction *)
   let raw = Drbg.uniform_array drbg (Group.q - 1) (lanes * n) in
   Array.init lanes (fun l ->
       Array.init n (fun i -> Group.exp_of_int (1 + raw.((l * n) + i))))
-
-(* Transcript serialization for weight derivation: exponents are < q
-   < 2^30, so four big-endian bytes are a canonical fixed-width
-   encoding. *)
-let add_exp buf e =
-  let v = Group.exp_to_int e in
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
 
 (* Weighted exponent sum mod q: sum_i ws.(i) * xs.(i). The scalar half
    of every folded equation. *)

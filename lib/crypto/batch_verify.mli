@@ -19,16 +19,15 @@ type outcome =
           and blame paths can name the offending proof *)
 
 val weights :
-  context:string -> transcript:string -> lanes:int -> int -> Group.exp array array
+  context:string -> transcript:Sha256.ctx -> lanes:int -> int -> Group.exp array array
 (** [weights ~context ~transcript ~lanes n] is [lanes] weight vectors
     of length [n], each entry uniform in [1, q), all drawn from one
-    verifier DRBG seeded by the hash of [transcript] under the
-    [context] domain separator. One folded equation system consumes one
-    lane. *)
-
-val add_exp : Buffer.t -> Group.exp -> unit
-(** Append the canonical 4-byte big-endian encoding of an exponent —
-    the fixed-width form the weight transcripts are built from. *)
+    verifier DRBG seeded by the digest of [transcript] (which this
+    call finalizes) under the [context] domain separator. Callers
+    absorb the statement and proofs into a fresh {!Sha256.init}
+    context with {!Group.absorb_elt} and {!Group.absorb_exp} — not
+    into {!Group.transcript}, which every challenge on the domain
+    reuses. One folded equation system consumes one lane. *)
 
 val dot : Group.exp array -> Group.exp array -> Group.exp
 (** Weighted exponent sum mod q — the scalar side of a folded

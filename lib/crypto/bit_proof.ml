@@ -16,14 +16,17 @@ type t = { b0 : branch; b1 : branch }
 
 let message_of = function false -> Elgamal.one | true -> Elgamal.marker
 
-let transcript ~pk ~ct ~(b0 : Group.elt * Group.elt) ~(b1 : Group.elt * Group.elt) =
-  let open Group in
-  String.concat ""
-    [
-      "bitproof|"; elt_to_string pk; Elgamal.ciphertext_to_string ct;
-      elt_to_string (fst b0); elt_to_string (snd b0);
-      elt_to_string (fst b1); elt_to_string (snd b1);
-    ]
+(* Fiat–Shamir hash of pk, the ciphertext and both branches'
+   commitments. *)
+let challenge ~pk ~ct ~b0_a1 ~b0_a2 ~b1_a1 ~b1_a2 =
+  let t = Group.transcript "bitproof|" in
+  Group.absorb_elt t pk;
+  Elgamal.absorb_ciphertext t ct;
+  Group.absorb_elt t b0_a1;
+  Group.absorb_elt t b0_a2;
+  Group.absorb_elt t b1_a1;
+  Group.absorb_elt t b1_a2;
+  Group.challenge t
 
 (* y_i = c2 / m_i: the element whose log base pk must match log_g c1. *)
 let y_of ct bit = Group.div ct.Elgamal.c2 (message_of bit)
@@ -52,11 +55,11 @@ let draw_rand drbg =
 let prove_with ?pk_tab ~pk ~r ~bit ~fake_e ~fake_z ~k ct =
   let fake = simulate_with ?pk_tab ~e:fake_e ~z:fake_z ~pk ~ct ~bit:(not bit) () in
   let real_a1 = Group.pow_g k and real_a2 = Group.pow_tab ?tab:pk_tab pk k in
-  let commitments =
-    if bit then ((fake.a1, fake.a2), (real_a1, real_a2))
-    else ((real_a1, real_a2), (fake.a1, fake.a2))
+  let e_total =
+    if bit then
+      challenge ~pk ~ct ~b0_a1:fake.a1 ~b0_a2:fake.a2 ~b1_a1:real_a1 ~b1_a2:real_a2
+    else challenge ~pk ~ct ~b0_a1:real_a1 ~b0_a2:real_a2 ~b1_a1:fake.a1 ~b1_a2:fake.a2
   in
-  let e_total = Group.hash_to_exp (transcript ~pk ~ct ~b0:(fst commitments) ~b1:(snd commitments)) in
   let e_real = Group.exp_sub e_total fake.e in
   let z_real = Group.exp_add k (Group.exp_mul e_real r) in
   let real = { a1 = real_a1; a2 = real_a2; e = e_real; z = z_real } in
@@ -76,7 +79,7 @@ let branch_ok ?pk_tab ~pk ~ct ~bit { a1; a2; e; z } =
      = Group.elt_to_int (Group.mul a2 (Group.pow y e))
 
 let verify ?pk_tab ~pk ct { b0; b1 } =
-  let e_total = Group.hash_to_exp (transcript ~pk ~ct ~b0:(b0.a1, b0.a2) ~b1:(b1.a1, b1.a2)) in
+  let e_total = challenge ~pk ~ct ~b0_a1:b0.a1 ~b0_a2:b0.a2 ~b1_a1:b1.a1 ~b1_a2:b1.a2 in
   Group.exp_to_int (Group.exp_add b0.e b1.e) = Group.exp_to_int e_total
   && branch_ok ?pk_tab ~pk ~ct ~bit:false b0
   && branch_ok ?pk_tab ~pk ~ct ~bit:true b1
@@ -107,7 +110,7 @@ let verify_batch ?pk_tab ~pk pairs =
     let e_totals =
       Parallel.parallel_init n (fun i ->
           let ct, { b0; b1 } = pairs.(i) in
-          Group.hash_to_exp (transcript ~pk ~ct ~b0:(b0.a1, b0.a2) ~b1:(b1.a1, b1.a2)))
+          challenge ~pk ~ct ~b0_a1:b0.a1 ~b0_a2:b0.a2 ~b1_a1:b1.a1 ~b1_a2:b1.a2)
     in
     let sums_ok = ref true in
     for i = 0 to n - 1 do
@@ -116,17 +119,14 @@ let verify_batch ?pk_tab ~pk pairs =
       then sums_ok := false
     done;
     let folded () =
-      let weight_transcript =
-        let buf = Buffer.create ((n * 16) + 16) in
-        for i = 0 to n - 1 do
-          let _, { b0; b1 } = pairs.(i) in
-          Batch_verify.add_exp buf e_totals.(i);
-          Batch_verify.add_exp buf b0.e;
-          Batch_verify.add_exp buf b0.z;
-          Batch_verify.add_exp buf b1.z
-        done;
-        Buffer.contents buf
-      in
+      let weight_transcript = Sha256.init () in
+      for i = 0 to n - 1 do
+        let _, { b0; b1 } = pairs.(i) in
+        Group.absorb_exp weight_transcript e_totals.(i);
+        Group.absorb_exp weight_transcript b0.e;
+        Group.absorb_exp weight_transcript b0.z;
+        Group.absorb_exp weight_transcript b1.z
+      done;
       let ws =
         Batch_verify.weights ~context:"bitproof" ~transcript:weight_transcript ~lanes:4 n
       in

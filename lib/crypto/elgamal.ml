@@ -50,4 +50,6 @@ let is_identity_plaintext m = Group.elt_to_int m = Group.elt_to_int Group.one
 let one = Group.one
 let marker = Group.hash_to_elt "psc-bit-one-marker"
 
-let ciphertext_to_string { c1; c2 } = Group.elt_to_string c1 ^ Group.elt_to_string c2
+let absorb_ciphertext ctx { c1; c2 } =
+  Group.absorb_elt ctx c1;
+  Group.absorb_elt ctx c2

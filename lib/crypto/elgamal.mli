@@ -59,5 +59,6 @@ val one : Group.elt
 val marker : Group.elt
 (** Canonical non-identity plaintext encoding bit 1 before blinding. *)
 
-val ciphertext_to_string : ciphertext -> string
-(** Canonical encoding for transcript hashing. *)
+val absorb_ciphertext : Sha256.ctx -> ciphertext -> unit
+(** Absorb the canonical encoding (c1 then c2, {!Group.absorb_elt}) into
+    a transcript. *)

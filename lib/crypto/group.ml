@@ -194,17 +194,36 @@ let random_exp drbg = Drbg.uniform drbg q
 let random_exps drbg count = Drbg.uniform_array drbg q count
 let random_elt drbg = pow_g (random_exp drbg)
 
-let hash_to_exp s =
-  let d = Sha256.digest s in
-  let v = ref 0 in
+(* Fiat–Shamir transcripts are absorbed into one SHA-256 context per
+   domain: challenges are hashed on the pool, and a context reused
+   across calls is what keeps a challenge allocation-free. A transcript
+   runs from [transcript] to [challenge] with no other transcript in
+   between on the same domain. *)
+type scratch = { ctx : Sha256.ctx; digest : Bytes.t }
+
+let scratch = Domain.DLS.new_key (fun () -> { ctx = Sha256.init (); digest = Bytes.create 32 })
+
+let transcript tag =
+  let { ctx; _ } = Domain.DLS.get scratch in
+  Sha256.reset ctx;
+  Sha256.update ctx tag;
+  ctx
+
+let absorb_elt ctx x = Sha256.update_be32 ctx x
+let absorb_exp ctx e = Sha256.update_be32 ctx e
+
+let challenge ctx =
+  let { digest; _ } = Domain.DLS.get scratch in
+  Sha256.finalize_into ctx digest 0;
   (* 60 bits of the digest, then reduce; bias is q / 2^60 < 2^-29. *)
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code d.[i]
-  done;
-  reduce_q (!v land ((1 lsl 60) - 1))
+  reduce_q (Int64.to_int (Int64.logand (Bytes.get_int64_be digest 0) 0x0FFF_FFFF_FFFF_FFFFL))
+
+let hash_to_exp s = challenge (transcript s)
 
 let hash_to_elt s =
-  let e = hash_to_exp ("elt|" ^ s) in
+  let ctx = transcript "elt|" in
+  Sha256.update ctx s;
+  let e = challenge ctx in
   (* g^e is uniform in the subgroup as e ranges over Z_q. *)
   pow_g (if e = 0 then 1 else e)
 

@@ -109,6 +109,24 @@ val random_elt : Drbg.t -> elt
 val hash_to_exp : string -> exp
 (** Fiat–Shamir: map a transcript string to a challenge exponent. *)
 
+val transcript : string -> Sha256.ctx
+(** [transcript tag] is this domain's Fiat–Shamir context, reset and
+    holding [tag]. Absorb the statement with {!absorb_elt},
+    {!absorb_exp} and {!Sha256.update}, then take {!challenge}:
+    [challenge (transcript s) = hash_to_exp s], with no allocation. The
+    context is shared by every transcript on the domain, so one must
+    reach its challenge before the next begins. *)
+
+val absorb_elt : Sha256.ctx -> elt -> unit
+(** Absorb the canonical 4-byte encoding ({!elt_to_string}). *)
+
+val absorb_exp : Sha256.ctx -> exp -> unit
+(** Absorb an exponent as four big-endian bytes (exponents are < q <
+    2^30, so the width is canonical). *)
+
+val challenge : Sha256.ctx -> exp
+(** Finalize a transcript into a challenge exponent. *)
+
 val hash_to_elt : string -> elt
 (** Hash to a subgroup element (square of a hash-derived residue). *)
 

@@ -4,30 +4,50 @@ let block_size = 64
    ipad- and opad-masked key blocks. Computing HMAC from a [keyed]
    costs two compressions (message + wrapped digest) instead of four;
    HMAC-DRBG reuses each key for several calls, so the two key-block
-   compressions amortise away. *)
-type keyed = { inner : Sha256.ctx; outer : Sha256.ctx }
+   compressions amortise away. [work] and [pad] are scratch, so a MAC
+   or a rekey allocates nothing. *)
+type keyed = {
+  inner : Sha256.ctx;
+  outer : Sha256.ctx;
+  work : Sha256.ctx;
+  pad : Bytes.t;  (* the masked key block, then the inner digest *)
+}
+
+let absorb_masked pad key off len fill ctx =
+  for i = 0 to block_size - 1 do
+    let c = if i < len then Char.code (Bytes.unsafe_get key (off + i)) else 0 in
+    Bytes.unsafe_set pad i (Char.unsafe_chr (c lxor fill))
+  done;
+  Sha256.reset ctx;
+  Sha256.update_bytes ctx pad 0 block_size
+
+let rekey k key off len =
+  if off < 0 || len < 0 || len > block_size || off > Bytes.length key - len then
+    invalid_arg "Hmac.rekey";
+  absorb_masked k.pad key off len 0x36 k.inner;
+  absorb_masked k.pad key off len 0x5c k.outer
 
 let keyed key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let pad fill =
-    Bytes.to_string
-      (Bytes.init block_size (fun i ->
-           let k = if i < String.length key then Char.code key.[i] else 0 in
-           Char.chr (k lxor fill)))
+  let k =
+    { inner = Sha256.init (); outer = Sha256.init (); work = Sha256.init ();
+      pad = Bytes.create block_size }
   in
-  let inner = Sha256.init () in
-  Sha256.update inner (pad 0x36);
-  let outer = Sha256.init () in
-  Sha256.update outer (pad 0x5c);
-  { inner; outer }
+  rekey k (Bytes.unsafe_of_string key) 0 (String.length key);
+  k
 
-let sha256_keyed k msg =
-  let ictx = Sha256.copy k.inner in
-  Sha256.update ictx msg;
-  let octx = Sha256.copy k.outer in
-  Sha256.update octx (Sha256.finalize ictx);
-  Sha256.finalize octx
+let mac_into k msg off len out out_off =
+  let work = k.work in
+  Sha256.blit ~src:k.inner ~dst:work;
+  Sha256.update_bytes work msg off len;
+  Sha256.finalize_into work k.pad 0;
+  Sha256.blit ~src:k.outer ~dst:work;
+  Sha256.update_bytes work k.pad 0 32;
+  Sha256.finalize_into work out out_off
 
-let sha256 ~key msg = sha256_keyed (keyed key) msg
+let sha256 ~key msg =
+  let out = Bytes.create 32 in
+  mac_into (keyed key) (Bytes.unsafe_of_string msg) 0 (String.length msg) out 0;
+  Bytes.unsafe_to_string out
 
 let hex ~key msg = Sha256.to_hex (sha256 ~key msg)

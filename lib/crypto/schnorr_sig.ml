@@ -6,8 +6,11 @@ let keygen drbg =
   { priv; pub = Group.pow_g priv }
 
 let challenge_of ~pub ~commitment msg =
-  Group.hash_to_exp
-    (String.concat "" [ "schnorr-sig|"; Group.elt_to_string pub; Group.elt_to_string commitment; msg ])
+  let t = Group.transcript "schnorr-sig|" in
+  Group.absorb_elt t pub;
+  Group.absorb_elt t commitment;
+  Sha256.update t msg;
+  Group.challenge t
 
 let sign drbg ~priv msg =
   let pub = Group.pow_g priv in

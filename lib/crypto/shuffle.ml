@@ -49,13 +49,13 @@ let random_perm drbg n =
   a
 
 let transcript_digest pk ~input ~output ~shadows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Group.elt_to_string pk);
-  let add cts = Array.iter (fun ct -> Buffer.add_string buf (Elgamal.ciphertext_to_string ct)) cts in
+  let t = Sha256.init () in
+  Group.absorb_elt t pk;
+  let add cts = Array.iter (Elgamal.absorb_ciphertext t) cts in
   add input;
   add output;
   List.iter add shadows;
-  Sha256.digest (Buffer.contents buf)
+  Sha256.finalize t
 
 let challenge_bit digest j = (Char.code digest.[j / 8 mod 32] lsr (j mod 8)) land 1 = 1
 
@@ -138,14 +138,11 @@ let is_perm perm n =
    perm and exps. *)
 let round_link_ok ~tab ~digest ~j ~from ~dst ~perm ~exps pk =
   let n = Array.length dst in
-  let transcript =
-    let buf = Buffer.create ((n * 8) + 40) in
-    Buffer.add_string buf digest;
-    Batch_verify.add_exp buf (Group.exp_of_int j);
-    Array.iter (fun p -> Batch_verify.add_exp buf (Group.exp_of_int p)) perm;
-    Array.iter (fun e -> Batch_verify.add_exp buf e) exps;
-    Buffer.contents buf
-  in
+  let transcript = Sha256.init () in
+  Sha256.update transcript digest;
+  Group.absorb_exp transcript (Group.exp_of_int j);
+  Array.iter (fun p -> Group.absorb_exp transcript (Group.exp_of_int p)) perm;
+  Array.iter (Group.absorb_exp transcript) exps;
   let ws = Batch_verify.weights ~context:"shuffle-link" ~transcript ~lanes:2 n in
   let component w proj rhs_pow =
     let bases = Array.make (2 * n) Group.one in

@@ -1,8 +1,12 @@
 type schnorr_proof = { commitment : Group.elt; response : Group.exp }
 
 let schnorr_challenge ~public ~commitment ~context =
-  Group.hash_to_exp
-    ("schnorr|" ^ context ^ "|" ^ Group.elt_to_string public ^ Group.elt_to_string commitment)
+  let t = Group.transcript "schnorr|" in
+  Sha256.update t context;
+  Sha256.update t "|";
+  Group.absorb_elt t public;
+  Group.absorb_elt t commitment;
+  Group.challenge t
 
 let schnorr_prove drbg ~secret ~context =
   let public = Group.pow_g secret in
@@ -20,10 +24,15 @@ let schnorr_verify ~public ~context { commitment; response } =
 type dleq_proof = { a1 : Group.elt; a2 : Group.elt; z : Group.exp }
 
 let dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context =
-  Group.hash_to_exp
-    (String.concat ""
-       [ "dleq|"; context; "|"; Group.elt_to_string public1; Group.elt_to_string base2;
-         Group.elt_to_string public2; Group.elt_to_string a1; Group.elt_to_string a2 ])
+  let t = Group.transcript "dleq|" in
+  Sha256.update t context;
+  Sha256.update t "|";
+  Group.absorb_elt t public1;
+  Group.absorb_elt t base2;
+  Group.absorb_elt t public2;
+  Group.absorb_elt t a1;
+  Group.absorb_elt t a2;
+  Group.challenge t
 
 let dleq_prove_with ?public2 ~k ~secret ~base2 ~context () =
   let public1 = Group.pow_g secret in
@@ -71,15 +80,12 @@ let dleq_verify_batch ?public1_tab ~public1 ~context ~statements proofs =
           let { a1; a2; _ } = proofs.(i) in
           dleq_challenge ~public1 ~base2 ~public2 ~a1 ~a2 ~context)
     in
-    let transcript =
-      let buf = Buffer.create ((n * 8) + 32) in
-      Buffer.add_string buf (Group.elt_to_string public1);
-      for i = 0 to n - 1 do
-        Batch_verify.add_exp buf cs.(i);
-        Batch_verify.add_exp buf proofs.(i).z
-      done;
-      Buffer.contents buf
-    in
+    let transcript = Sha256.init () in
+    Group.absorb_elt transcript public1;
+    for i = 0 to n - 1 do
+      Group.absorb_exp transcript cs.(i);
+      Group.absorb_exp transcript proofs.(i).z
+    done;
     let ws = Batch_verify.weights ~context:("dleq|" ^ context) ~transcript ~lanes:2 n in
     let w1 = ws.(0) and w2 = ws.(1) in
     let zs = Array.map (fun pr -> pr.z) proofs in

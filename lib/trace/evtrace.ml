@@ -101,7 +101,11 @@ end
 
 (* --- header/segment encoding (Bus.Codec) --- *)
 
-let encode_segment ~meta ~tallies ~countries ~hosts ~events ~payload =
+(* The segment is written in one exact-size allocation: header fields,
+   then the checksum, then the payload, which [write_payload dst off]
+   copies into place and which is hashed where it lands — the payload
+   is never held twice beyond its source and this one copy. *)
+let encode_segment ~meta ~tallies ~countries ~hosts ~events ~payload_len ~write_payload =
   let w = Bus.Codec.W.create () in
   Bus.Codec.W.magic w magic;
   Bus.Codec.W.u8 w version;
@@ -125,9 +129,24 @@ let encode_segment ~meta ~tallies ~countries ~hosts ~events ~payload =
   Bus.Codec.W.varint w (Array.length hosts);
   Array.iter (fun s -> Bus.Codec.W.bytes w s) hosts;
   Bus.Codec.W.varint w events;
-  Bus.Codec.W.bytes w (Crypto.Sha256.digest payload);
-  Bus.Codec.W.bytes w payload;
-  Bus.Codec.W.contents w
+  (* the checksum field's length prefix; its 32 bytes follow *)
+  Bus.Codec.W.varint w 32;
+  let header = Bus.Codec.W.contents w in
+  let length_prefix =
+    let p = Bus.Codec.W.create () in
+    Bus.Codec.W.varint p payload_len;
+    Bus.Codec.W.contents p
+  in
+  let checksum_off = String.length header in
+  let payload_off = checksum_off + 32 + String.length length_prefix in
+  let out = Bytes.create (payload_off + payload_len) in
+  Bytes.blit_string header 0 out 0 checksum_off;
+  Bytes.blit_string length_prefix 0 out (checksum_off + 32) (String.length length_prefix);
+  write_payload out payload_off;
+  let ctx = Crypto.Sha256.init () in
+  Crypto.Sha256.update_bytes ctx out payload_off payload_len;
+  Crypto.Sha256.finalize_into ctx out checksum_off;
+  Bytes.unsafe_to_string out
 
 module Segment = struct
   type t = {
@@ -174,7 +193,8 @@ module Segment = struct
 
   let encode t =
     encode_segment ~meta:t.meta ~tallies:t.tallies ~countries:t.countries ~hosts:t.hosts
-      ~events:t.events ~payload:t.payload
+      ~events:t.events ~payload_len:(String.length t.payload)
+      ~write_payload:(fun dst off -> Bytes.blit_string t.payload 0 dst off (String.length t.payload))
 
   let read_file path =
     match In_channel.with_open_bin path In_channel.input_all with
@@ -187,9 +207,16 @@ end
 (* --- writer --- *)
 
 module Writer = struct
+  (* The payload grows in fixed-size chunks rather than a doubling
+     buffer: appending never copies what is already written, and
+     [finish] copies each chunk once, into the sealed segment. *)
+  let chunk_size = 65_536
+
   type t = {
     meta : meta;
-    buf : Buffer.t;
+    mutable chunk : Bytes.t;
+    mutable pos : int;  (* bytes used in [chunk] *)
+    mutable full : Bytes.t list;  (* filled chunks, newest first *)
     countries : Intern.t;
     hosts : Intern.t;
     mutable count : int;
@@ -203,7 +230,9 @@ module Writer = struct
   let create meta =
     {
       meta;
-      buf = Buffer.create 4096;
+      chunk = Bytes.create chunk_size;
+      pos = 0;
+      full = [];
       countries = Intern.create ();
       hosts = Intern.create ();
       count = 0;
@@ -214,18 +243,31 @@ module Writer = struct
       finished = false;
     }
 
-  let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xff))
+  let spill t =
+    t.full <- t.chunk :: t.full;
+    t.chunk <- Bytes.create chunk_size;
+    t.pos <- 0
+
+  let u8 t v =
+    if t.pos = chunk_size then spill t;
+    Bytes.unsafe_set t.chunk t.pos (Char.unsafe_chr (v land 0xff));
+    t.pos <- t.pos + 1
 
   let varint t v =
     let v = ref v in
     while !v >= 0x80 do
-      Buffer.add_char t.buf (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+      u8 t (0x80 lor (!v land 0x7f));
       v := !v lsr 7
     done;
-    Buffer.add_char t.buf (Char.chr !v)
+    u8 t !v
 
   let zint t v = varint t ((v lsl 1) lxor (v asr 62))
-  let f64 t v = Buffer.add_int64_be t.buf (Int64.bits_of_float v)
+
+  let f64 t v =
+    let bits = Int64.bits_of_float v in
+    for i = 7 downto 0 do
+      u8 t (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
+    done
 
   let d_ip t ip =
     zint t (ip - t.prev_ip);
@@ -328,11 +370,20 @@ module Writer = struct
   let finish t ~tallies =
     if t.finished then invalid_arg "Trace.Writer.finish: writer already finished";
     t.finished <- true;
+    let chunks = List.rev t.full in
+    let last = t.chunk and last_len = t.pos in
+    t.full <- [];
+    t.chunk <- Bytes.empty;
+    let write_payload dst off =
+      List.iteri (fun i c -> Bytes.blit c 0 dst (off + (i * chunk_size)) chunk_size) chunks;
+      Bytes.blit last 0 dst (off + (List.length chunks * chunk_size)) last_len
+    in
     encode_segment ~meta:t.meta ~tallies
       ~countries:(Intern.to_array t.countries)
       ~hosts:(Intern.to_array t.hosts)
       ~events:t.count
-      ~payload:(Buffer.contents t.buf)
+      ~payload_len:((List.length chunks * chunk_size) + last_len)
+      ~write_payload
 end
 
 (* --- replay --- *)

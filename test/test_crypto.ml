@@ -693,6 +693,106 @@ let test_proof_bytes_golden () =
   ints_bytes b [| Group.elt_to_int commitment; Group.exp_to_int response |];
   Alcotest.(check string) "dleq and schnorr proofs" "73212293d0395237a4d1037e21573805" (md5_hex (Buffer.contents b))
 
+(* --- allocation-free entry points --- *)
+
+let test_sha256_update_be32_alignments () =
+  (* a 4-byte word absorbed at every offset in the block, including the
+     ones that straddle a block boundary *)
+  for prefix = 0 to 70 do
+    let v = 0x9abc_de00 lor prefix in
+    let a = Sha256.init () and b = Sha256.init () in
+    let head = kat_message prefix in
+    Sha256.update a head;
+    Sha256.update_be32 a v;
+    Sha256.update_be32 a (-1);
+    Sha256.update b head;
+    Sha256.update b "\x9a\xbc\xde";
+    Sha256.update b (String.make 1 (Char.chr prefix));
+    Sha256.update b "\xff\xff\xff\xff";
+    if not (String.equal (Sha256.finalize a) (Sha256.finalize b)) then
+      Alcotest.failf "update_be32 after %d bytes differs from update" prefix
+  done
+
+let test_sha256_slices_and_offsets () =
+  let msg = kat_message 200 in
+  let padded = Bytes.of_string ("xxxxxxx" ^ msg ^ "yyy") in
+  let ctx = Sha256.init () in
+  Sha256.update_bytes ctx padded 7 120;
+  Sha256.update_bytes ctx padded 127 80;
+  let out = Bytes.make 40 '-' in
+  Sha256.finalize_into ctx out 5;
+  Alcotest.(check string) "finalize_into at an offset" (Sha256.digest msg) (Bytes.sub_string out 5 32);
+  Alcotest.(check string) "bytes outside the digest untouched" "-----" (Bytes.sub_string out 0 5);
+  Sha256.reset ctx;
+  Sha256.update ctx "abc";
+  Alcotest.(check string) "reset after finalize" (Sha256.digest "abc") (Sha256.finalize ctx);
+  (* blit snapshots a midstate with a partial block *)
+  let src = Sha256.init () and dst = Sha256.init () in
+  Sha256.update src (String.sub msg 0 100);
+  Sha256.blit ~src ~dst;
+  Sha256.update dst (String.sub msg 100 100);
+  Sha256.update src (String.sub msg 100 100);
+  Alcotest.(check string) "blit copy" (Sha256.digest msg) (Sha256.finalize dst);
+  Alcotest.(check string) "blit source independent" (Sha256.digest msg) (Sha256.finalize src);
+  Alcotest.check_raises "slice out of range" (Invalid_argument "Sha256.update_bytes") (fun () ->
+      Sha256.update_bytes (Sha256.init ()) padded 200 20);
+  Alcotest.check_raises "output out of range" (Invalid_argument "Sha256.finalize_into") (fun () ->
+      Sha256.finalize_into (Sha256.init ()) out 9)
+
+let test_hmac_mac_into () =
+  let key = String.make 20 '\x0b' in
+  let k = Hmac.keyed key in
+  let buf = Bytes.of_string "--Hi There--" in
+  let out = Bytes.create 34 in
+  Hmac.mac_into k buf 2 8 out 2;
+  Alcotest.(check string) "rfc4231 case 1 into a buffer"
+    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+    (Sha256.to_hex (Bytes.sub_string out 2 32));
+  (* message and output overlap: V = HMAC(K, V) *)
+  let v = Bytes.of_string (kat_message 32) in
+  Hmac.mac_into k v 0 32 v 0;
+  Alcotest.(check string) "in place" (Hmac.sha256 ~key (kat_message 32)) (Bytes.to_string v);
+  Hmac.rekey k (Bytes.of_string "..Jefe..") 2 4;
+  Hmac.mac_into k (Bytes.of_string "what do ya want for nothing?") 0 28 out 0;
+  Alcotest.(check string) "rekey in place"
+    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+    (Sha256.to_hex (Bytes.sub_string out 0 32));
+  Alcotest.check_raises "oversized key" (Invalid_argument "Hmac.rekey") (fun () ->
+      Hmac.rekey k (Bytes.create 65) 0 65)
+
+(* Words allocated per call of [f] on the test's own domain (Gc
+   counters are per domain): minor words, plus the words allocated
+   straight into the major heap — a large result array bypasses the
+   minor heap. *)
+let words_per_call ~calls f =
+  ignore (f ());
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int calls
+
+let check_alloc name bound words =
+  Alcotest.(check bool) (Printf.sprintf "%s: %.1f words/call <= %g" name words bound) true (words <= bound)
+
+let test_hashing_allocation () =
+  let block = String.make 65_536 'a' in
+  let ctx = Sha256.init () and out = Bytes.create 32 in
+  check_alloc "sha256 64 KiB (1025 blocks)" 1025.
+    (words_per_call ~calls:32 (fun () ->
+         Sha256.reset ctx;
+         Sha256.update ctx block;
+         Sha256.finalize_into ctx out 0));
+  let d = Drbg.create "alloc" in
+  (* the result array: 8192 words plus its header *)
+  check_alloc "uniform_array q 8192" (8193. +. 64.)
+    (words_per_call ~calls:16 (fun () -> Drbg.uniform_array d Group.q 8192));
+  let secret = Group.random_exp d and base2 = Group.random_elt d and k = Group.random_exp d in
+  check_alloc "dleq_prove_with" 48.
+    (words_per_call ~calls:10_000 (fun () ->
+         Sigma.dleq_prove_with ~k ~secret ~base2 ~context:"psc-decrypt" ()))
+
 (* --- qcheck properties --- *)
 
 let prop_multi_exp_matches_naive =
@@ -875,6 +975,13 @@ let () =
           Alcotest.test_case "reuse rejected" `Quick test_sha256_reuse_rejected;
         ] );
       ("hmac", [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_vectors ]);
+      ( "streaming",
+        [
+          Alcotest.test_case "update_be32 at every offset" `Quick test_sha256_update_be32_alignments;
+          Alcotest.test_case "slices, offsets, reset, blit" `Quick test_sha256_slices_and_offsets;
+          Alcotest.test_case "hmac mac_into and rekey" `Quick test_hmac_mac_into;
+          Alcotest.test_case "allocation" `Quick test_hashing_allocation;
+        ] );
       ( "golden",
         [
           Alcotest.test_case "sha256 lengths 0-200" `Quick test_sha256_lengths_golden;

@@ -303,6 +303,56 @@ let prop_jobs_invariant_tampered =
       && a.Protocol.culprits = [ cp ]
       && a.Protocol.culprits = b.Protocol.culprits)
 
+(* The Fiat–Shamir scratch is per domain: decryption proofs hashed on
+   the pool, and the batch outcomes of both proof families — including
+   the single-proof fallback a tampered proof forces — are identical at
+   jobs=1 and jobs=4. *)
+let with_jobs jobs f =
+  let before = Parallel.jobs () in
+  Parallel.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs before) f
+
+let proof_hashing_at ~seed ~n ~bad jobs =
+  with_jobs jobs (fun () ->
+      let open Crypto in
+      let cp = Cp.create ~id:1 ~seed in
+      let pub = Cp.public_key cp in
+      let d = Drbg.create (Printf.sprintf "proof-hashing|%d" seed) in
+      let vector =
+        Array.init n (fun i -> Elgamal.encrypt d pub (if i land 1 = 0 then Elgamal.one else Elgamal.marker))
+      in
+      let share = Cp.decrypt_shares cp vector in
+      let proofs = Option.get share.Cp.proofs in
+      let statements = Array.init n (fun i -> (vector.(i).Elgamal.c1, share.Cp.shares.(i))) in
+      let dleq proofs = Sigma.dleq_verify_batch ~public1:pub ~context:"psc-decrypt" ~statements proofs in
+      let forged = Array.copy proofs in
+      forged.(bad) <- { (forged.(bad)) with Sigma.z = Group.exp_add forged.(bad).Sigma.z Group.one_exp };
+      let bits = Array.init n (fun i -> Bit_proof.encrypt_bit_proven d ~pk:pub (i land 1 = 1)) in
+      let bit_ok = Bit_proof.verify_batch ~pk:pub bits in
+      let r = Group.random_exp d in
+      let nonbit = Elgamal.encrypt_with ~r pub (Group.mul Elgamal.marker Elgamal.marker) in
+      bits.(bad) <- (nonbit, Bit_proof.prove d ~pk:pub ~r ~bit:true nonbit);
+      let proof_ints =
+        Array.map
+          (fun { Sigma.a1; a2; z } -> (Group.elt_to_int a1, Group.elt_to_int a2, Group.exp_to_int z))
+          proofs
+      in
+      (proof_ints, Array.map Group.elt_to_int share.Cp.shares, dleq proofs, dleq forged, bit_ok,
+       Bit_proof.verify_batch ~pk:pub bits))
+
+let prop_proof_hashing_jobs_invariant =
+  QCheck.Test.make ~name:"proof bytes and batch outcomes identical at jobs=1 and jobs=4" ~count:4
+    QCheck.(triple (int_range 1 40) (int_range 64 300) (int_range 0 299))
+    (fun (seed, n, bad) ->
+      let bad = bad mod n in
+      let ((_, _, dleq_ok, dleq_bad, bit_ok, bit_bad) as a) = proof_hashing_at ~seed ~n ~bad 1 in
+      let b = proof_hashing_at ~seed ~n ~bad 4 in
+      a = b
+      && dleq_ok = Crypto.Batch_verify.Accepted
+      && bit_ok = Crypto.Batch_verify.Accepted
+      && dleq_bad = Crypto.Batch_verify.Rejected [ bad ]
+      && bit_bad = Crypto.Batch_verify.Rejected [ bad ])
+
 let prop_estimate_tracks_truth =
   QCheck.Test.make ~name:"estimate within noise of true union" ~count:8
     QCheck.(pair (int_range 1 60) (int_range 0 300))
@@ -416,5 +466,6 @@ let () =
       ("golden", golden_cases);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_estimate_tracks_truth; prop_jobs_invariant; prop_jobs_invariant_tampered ] );
+          [ prop_estimate_tracks_truth; prop_jobs_invariant; prop_jobs_invariant_tampered;
+            prop_proof_hashing_jobs_invariant ] );
     ]
