@@ -299,7 +299,11 @@ let validate_segments segments =
    [sink], but over the decoded flat view. Hostname classification is
    resolved once per interned id at segment load — replay never hashes
    a hostname in the hot loop — using the same [Workload.Suffix]
-   functions as the live path, so the tallies are byte-identical. *)
+   functions as the live path, so the tallies are byte-identical. It
+   bypasses the registered-domain memo: each interned host is
+   classified once per job, and a recording's hosts (~22k on
+   replay-ingest) overflow the memo's bound, so it would never hit and
+   its inserts would only become major-heap garbage. *)
 let replay_sink acc (seg : Evtrace.Segment.t) =
   let nhosts = Array.length seg.Evtrace.Segment.hosts in
   let sld_known = Bytes.create nhosts in
@@ -307,7 +311,9 @@ let replay_sink acc (seg : Evtrace.Segment.t) =
   Array.iteri
     (fun i h ->
       Bytes.unsafe_set sld_known i
-        (match Workload.Suffix.registered_domain h with Some _ -> '\001' | None -> '\000');
+        (match Workload.Suffix.registered_domain_uncached h with
+        | Some _ -> '\001'
+        | None -> '\000');
       Bytes.unsafe_set tld_cls i
         (match Workload.Suffix.top_level_domain h with
         | Some "com" -> '\000'

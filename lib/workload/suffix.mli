@@ -14,6 +14,12 @@ val registered_domain : string -> string option
     than the public suffix. None for bare suffixes or unknown TLDs.
     Memoized per domain (bounded). *)
 
+val registered_domain_uncached : string -> string option
+(** {!registered_domain} without the memo, for callers that classify
+    each distinct host once — a trace segment's interned host table.
+    There a memo never hits and only churns: every insert past its
+    bound is garbage the major GC must collect. *)
+
 val top_level_domain : string -> string option
 (** The final label, lowercased. *)
 

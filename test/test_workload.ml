@@ -424,6 +424,7 @@ let prop_suffix_fast_matches_reference =
     (fun host ->
       Suffix.public_suffix host = Suffix.public_suffix_ref host
       && Suffix.registered_domain host = Suffix.registered_domain_ref host
+      && Suffix.registered_domain_uncached host = Suffix.registered_domain_ref host
       && Suffix.top_level_domain host = Suffix.top_level_domain_ref host)
 
 (* Exceeding the memo bound must not change results: drive more unique
