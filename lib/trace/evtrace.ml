@@ -103,8 +103,8 @@ end
 
 (* The segment is written in one exact-size allocation: header fields,
    then the checksum, then the payload, which [write_payload dst off]
-   copies into place and which is hashed where it lands — the payload
-   is never held twice beyond its source and this one copy. *)
+   copies into place and which is hashed where it lands, so the payload
+   is copied once, from its source into the segment. *)
 let encode_segment ~meta ~tallies ~countries ~hosts ~events ~payload_len ~write_payload =
   let w = Bus.Codec.W.create () in
   Bus.Codec.W.magic w magic;
@@ -371,18 +371,15 @@ module Writer = struct
     if t.finished then invalid_arg "Trace.Writer.finish: writer already finished";
     t.finished <- true;
     let chunks = List.rev t.full in
-    let last = t.chunk and last_len = t.pos in
-    t.full <- [];
-    t.chunk <- Bytes.empty;
     let write_payload dst off =
       List.iteri (fun i c -> Bytes.blit c 0 dst (off + (i * chunk_size)) chunk_size) chunks;
-      Bytes.blit last 0 dst (off + (List.length chunks * chunk_size)) last_len
+      Bytes.blit t.chunk 0 dst (off + (List.length chunks * chunk_size)) t.pos
     in
     encode_segment ~meta:t.meta ~tallies
       ~countries:(Intern.to_array t.countries)
       ~hosts:(Intern.to_array t.hosts)
       ~events:t.count
-      ~payload_len:((List.length chunks * chunk_size) + last_len)
+      ~payload_len:((List.length chunks * chunk_size) + t.pos)
       ~write_payload
 end
 
